@@ -1,11 +1,23 @@
-"""The eight demonstration queries of §3 as DataFrame transforms.
+"""The eight demonstration queries of §3, each compiled to one Spark SQL
+statement.
 
-Each query is a function ``(events: DataFrame, …static tables…) →
-DataFrame`` built from the NebulaMEOS operator set: MEOS expressions
-(`repro.nebula.expressions`), the window operators
-(`repro.nebula.windows`), and plain relational operators. The same
-transform object runs in batch, micro-batch, and Structured Streaming
-(see `repro.nebula.engine` / `repro.core.streaming`).
+Each query ``N`` has two faces:
+
+* ``qN_sql(…static tables and parameters…) -> str`` compiles the query
+  — MEOS expressions (`repro.nebula.expressions`, lowered through
+  ``to_sql``), windows and relational operators — into one statement
+  over the event view ``{ev}`` (Q4 also reads the weather view
+  ``{wx}``). Building it touches no Spark session, so a processor
+  builds it once and runs it on every micro-batch: NebulaStream's
+  compile-once-at-deployment model (§2.3).
+* ``qN_…(events, …) -> DataFrame`` is the transform the tests, jobs and
+  the Structured-Streaming wrappers call:
+  ``events.sparkSession.sql(qN_sql(…), ev=events)``. The same transform
+  runs in batch, micro-batch, and Structured Streaming (see
+  `repro.nebula.engine` / `repro.core.streaming`).
+
+Q7 and Q8b keep their threshold window (``applyInPandas``); only their
+per-event projection is a statement.
 
 Geofencing (§3.1): Q1 alert filtering, Q2 noise monitoring, Q3 dynamic
 speed limit, Q4 weather speed zones. GCEP (§3.2): Q5 battery
@@ -21,27 +33,49 @@ from __future__ import annotations
 import pandas as pd
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
-from pyspark.sql.functions import pandas_udf
 
+from repro.core.udfs import EXPECTED_V_UDF, register_meos_udfs
 from repro.nebula.expressions import (
     EdWithinExpression,
     NearestZoneExpression,
     ZoneIdExpression,
     field,
+    sql_literal,
 )
-from repro.nebula.windows import sliding, threshold_window, tumbling
+from repro.nebula.windows import threshold_window
 from repro.sncb.sensors import (
     DEVIATION_THRESHOLD_V,
     EMERGENCY_BAR,
     LOW_PRESSURE_BAR,
     OVERHEAT_THRESHOLD_C,
 )
+from repro.sncb.trains import T0_EPOCH
 from repro.sncb.weather import CELL_SIZE_M, grid_origin
 from repro.sncb.zones import shapes_from_df
+
+lit = sql_literal
+X, Y = field("x"), field("y")
+
+
+def _window(size: str, slide: str | None = None) -> str:
+    """An event-time window over ``t`` (tumbling, or sliding by ``slide``)."""
+    args = lit(size) if slide is None else f"{lit(size)}, {lit(slide)}"
+    return f"window(`t`, {args})"
+
 
 # ---------------------------------------------------------------------
 # Geofencing
 # ---------------------------------------------------------------------
+
+def q1_sql(maintenance_zones: pd.DataFrame) -> str:
+    shapes, _ = shapes_from_df(maintenance_zones)
+    in_mnt = EdWithinExpression(X, Y, shapes, 0.0).to_sql()
+    return (
+        "SELECT train_id, ts, x, y, alert_kind, alert_essential, in_maintenance "
+        f"FROM (SELECT *, {in_mnt} AS in_maintenance FROM {{ev}} WHERE alert_kind != '') "
+        "WHERE alert_essential OR NOT in_maintenance"
+    )
+
 
 def q1_alert_filtering(events: DataFrame, maintenance_zones: pd.DataFrame) -> DataFrame:
     """Q1 — location-based alert filtering.
@@ -50,16 +84,21 @@ def q1_alert_filtering(events: DataFrame, maintenance_zones: pd.DataFrame) -> Da
     while the train is inside a maintenance zone. Essential alerts
     (equipment malfunction) always pass.
     """
-    shapes, _ = shapes_from_df(maintenance_zones)
-    in_mnt = EdWithinExpression(field("x"), field("y"), shapes, 0.0).to_column()
+    return events.sparkSession.sql(q1_sql(maintenance_zones), ev=events)
+
+
+def q2_sql(
+    neighbourhood_zones: pd.DataFrame, *, window: str = "60 seconds", peak_db: float = 70.0
+) -> str:
+    shapes, ids = shapes_from_df(neighbourhood_zones)
+    zid = ZoneIdExpression(X, Y, shapes, ids).to_sql()
     return (
-        events.filter(F.col("alert_kind") != "")
-        .withColumn("in_maintenance", in_mnt)
-        .filter(F.col("alert_essential") | ~F.col("in_maintenance"))
-        .select(
-            "train_id", "ts", "x", "y", "alert_kind", "alert_essential",
-            "in_maintenance",
-        )
+        "SELECT CAST(w.start AS BIGINT) AS w_start_s, zone_id, n_events, avg_noise_db, "
+        f"max_noise_db, max_noise_db > {lit(peak_db)} AS is_peak "
+        f"FROM (SELECT {_window(window)} AS w, zone_id, count(*) AS n_events, "
+        "avg(noise_db) AS avg_noise_db, max(noise_db) AS max_noise_db "
+        f"FROM (SELECT *, {zid} AS zone_id FROM {{ev}}) WHERE zone_id >= 0 "
+        "GROUP BY w, zone_id)"
     )
 
 
@@ -77,20 +116,25 @@ def q2_noise_monitoring(
     exceeds ``peak_db`` are flagged as peaks (the "noise peaks related
     to their geographical areas").
     """
-    shapes, ids = shapes_from_df(neighbourhood_zones)
-    zid = ZoneIdExpression(field("x"), field("y"), shapes, ids).to_column()
-    zoned = events.withColumn("zone_id", zid).filter(F.col("zone_id") >= 0)
-    out = tumbling(
-        zoned, time_col="t", size=window, keys=["zone_id"],
-        aggs=[
-            F.count("*").alias("n_events"),
-            F.avg("noise_db").alias("avg_noise_db"),
-            F.max("noise_db").alias("max_noise_db"),
-        ],
+    stmt = q2_sql(neighbourhood_zones, window=window, peak_db=peak_db)
+    return events.sparkSession.sql(stmt, ev=events)
+
+
+def q3_sql(curve_zones: pd.DataFrame) -> str:
+    shapes, ids = shapes_from_df(curve_zones)
+    zid = ZoneIdExpression(X, Y, shapes, ids).to_sql()
+    # Each zone's limit, looked up from the zone id the CASE chain found
+    # (a missing limit is NULL, as in a join with the zone table).
+    limits = " ".join(
+        f"WHEN {lit(int(z))} THEN {'NULL' if pd.isna(v) else lit(float(v))}"
+        for z, v in zip(curve_zones["zone_id"], curve_zones["speed_limit_kmh"])
     )
-    return out.withColumn("is_peak", F.col("max_noise_db") > peak_db).select(
-        F.col("w_start").cast("long").alias("w_start_s"),
-        "zone_id", "n_events", "avg_noise_db", "max_noise_db", "is_peak",
+    limit = f"CAST(CASE zone_id {limits} END AS DOUBLE)" if limits else "CAST(NULL AS DOUBLE)"
+    return (
+        "SELECT train_id, ts, zone_id, speed_kmh, speed_limit_kmh, "
+        "speed_kmh > speed_limit_kmh AS violation "
+        f"FROM (SELECT *, {limit} AS speed_limit_kmh "
+        f"FROM (SELECT *, {zid} AS zone_id FROM {{ev}}) WHERE zone_id >= 0)"
     )
 
 
@@ -98,31 +142,34 @@ def q3_dynamic_speed_limit(events: DataFrame, curve_zones: pd.DataFrame) -> Data
     """Q3 — dynamic speed limit.
 
     Restrict the stream to high-risk zones (curves/construction), attach
-    each zone's speed limit through a relational join, and flag
-    violations (speed above the zone limit).
+    each zone's speed limit (folded into the statement as a lookup on
+    the zone id, so no join), and flag violations (speed above the zone
+    limit).
     """
-    shapes, ids = shapes_from_df(curve_zones)
-    zid = ZoneIdExpression(field("x"), field("y"), shapes, ids).to_column()
-    zoned = events.withColumn("zone_id", zid).filter(F.col("zone_id") >= 0)
-    limits = events.sparkSession.createDataFrame(
-        curve_zones[["zone_id", "speed_limit_kmh"]]
-    )
-    return (
-        zoned.join(limits, on="zone_id", how="inner")
-        .withColumn("violation", F.col("speed_kmh") > F.col("speed_limit_kmh"))
-        .select(
-            "train_id", "ts", "zone_id", "speed_kmh", "speed_limit_kmh", "violation",
-        )
-    )
+    return events.sparkSession.sql(q3_sql(curve_zones), ev=events)
+
+
+def weather_cell_sql(x: str = "x", y: str = "y") -> str:
+    """The weather-cell id as a SQL expression (no UDF) — identical
+    arithmetic to ``weather.cell_id_of``."""
+    x0, y0, nx, _ = grid_origin()
+    ix = f"CAST(FLOOR(({field(x).to_sql()} - {lit(x0)}) / {lit(CELL_SIZE_M)}) AS BIGINT)"
+    iy = f"CAST(FLOOR(({field(y).to_sql()} - {lit(y0)}) / {lit(CELL_SIZE_M)}) AS BIGINT)"
+    return f"(({iy} * {lit(nx)}) + {ix})"
 
 
 def weather_cell_column(x: str = "x", y: str = "y") -> Column:
-    """The weather-cell id as a pure Catalyst expression (no UDF) —
-    identical arithmetic to ``weather.cell_id_of``."""
-    x0, y0, nx, _ = grid_origin()
-    ix = F.floor((F.col(x) - F.lit(x0)) / F.lit(CELL_SIZE_M)).cast("long")
-    iy = F.floor((F.col(y) - F.lit(y0)) / F.lit(CELL_SIZE_M)).cast("long")
-    return iy * F.lit(nx) + ix
+    return F.expr(weather_cell_sql(x, y))
+
+
+def q4_sql() -> str:
+    return (
+        "SELECT e.train_id, e.ts, e.cell_id, w.condition, w.suggested_limit_kmh, "
+        "e.speed_kmh, e.speed_kmh > w.suggested_limit_kmh AS violation "
+        f"FROM (SELECT *, {weather_cell_sql()} AS cell_id FROM {{ev}}) e "
+        "JOIN {wx} w ON e.cell_id = w.cell_id AND e.ts >= w.t_start AND e.ts < w.t_end "
+        "WHERE w.suggested_limit_kmh IS NOT NULL"
+    )
 
 
 def q4_weather_speed_zones(events: DataFrame, weather: DataFrame) -> DataFrame:
@@ -132,33 +179,39 @@ def q4_weather_speed_zones(events: DataFrame, weather: DataFrame) -> DataFrame:
     timestamp (interval join); keep adverse-condition rows (those with a
     suggested limit) and flag trains exceeding it.
     """
-    ev = events.withColumn("cell_id", weather_cell_column())
-    w = weather.select(
-        F.col("cell_id").alias("w_cell"), "t_start", "t_end",
-        "condition", "suggested_limit_kmh",
-    )
-    return (
-        ev.join(
-            w,
-            on=(
-                (ev["cell_id"] == w["w_cell"])
-                & (ev["ts"] >= w["t_start"])
-                & (ev["ts"] < w["t_end"])
-            ),
-            how="inner",
-        )
-        .filter(F.col("suggested_limit_kmh").isNotNull())
-        .withColumn("violation", F.col("speed_kmh") > F.col("suggested_limit_kmh"))
-        .select(
-            "train_id", "ts", "cell_id", "condition",
-            "suggested_limit_kmh", "speed_kmh", "violation",
-        )
-    )
+    return events.sparkSession.sql(q4_sql(), ev=events, wx=weather)
 
 
 # ---------------------------------------------------------------------
 # Geospatial Complex Event Processing
 # ---------------------------------------------------------------------
+
+def q5_sql(
+    workshop_zones: pd.DataFrame,
+    *,
+    t0: float | None = None,
+    window: str = "300 seconds",
+    slide: str = "60 seconds",
+    dev_threshold_v: float = DEVIATION_THRESHOLD_V,
+    overheat_c: float = OVERHEAT_THRESHOLD_C,
+) -> str:
+    """Q5's statement; it calls the SQL UDF ``EXPECTED_V_UDF``, which
+    must be registered (``register_meos_udfs``) in the session that runs it."""
+    t0 = T0_EPOCH if t0 is None else t0
+    shapes, ids = shapes_from_df(workshop_zones)
+    nearest_ws = NearestZoneExpression(X, Y, shapes, ids).to_sql()
+    return (
+        "SELECT * FROM (SELECT CAST(w.start AS BIGINT) AS w_start_s, train_id, "
+        f"avg_dev_v, max_temp_c, abs(avg_dev_v) > {lit(dev_threshold_v)} AS alert_deviation, "
+        f"max_temp_c > {lit(overheat_c)} AS alert_overheat, workshop_id "
+        f"FROM (SELECT {_window(window, slide)} AS w, train_id, avg(dev_v) AS avg_dev_v, "
+        "max(battery_temp_c) AS max_temp_c, max_by(nearest_ws, ts) AS workshop_id "
+        f"FROM (SELECT *, battery_v - {EXPECTED_V_UDF}(ts - {lit(t0)}) AS dev_v, "
+        f"{nearest_ws} AS nearest_ws FROM {{ev}}) "
+        "GROUP BY w, train_id)) "
+        "WHERE alert_deviation OR alert_overheat"
+    )
+
 
 def q5_battery_monitoring(
     events: DataFrame,
@@ -178,44 +231,27 @@ def q5_battery_monitoring(
     expected deviation; sliding windows per train then smooth it.
     Windows with mean |deviation| above threshold (battery-health
     alert) or any overheat sample trigger an alert, and each alert
-    looks up the *nearest workshop* from the train's latest position.
+    looks up the *nearest workshop* from the train's latest position
+    ("keeping track of nearby workshops" — §3.2).
 
     ``t0`` anchors the cycle phase (default: stream epoch).
     """
-    from repro.sncb.sensors import expected_battery_voltage
-    from repro.sncb.trains import T0_EPOCH
-
-    t0 = T0_EPOCH if t0 is None else t0
-
-    @pandas_udf("double")
-    def _expected_v(ts_rel: pd.Series) -> pd.Series:
-        return pd.Series(expected_battery_voltage(ts_rel.to_numpy()))
-
-    shapes, ids = shapes_from_df(workshop_zones)
-    nearest_ws = NearestZoneExpression(field("x"), field("y"), shapes, ids).to_column()
-
-    # Per-event: curve deviation + continuous nearest-workshop tracking
-    # ("keeping track of nearby workshops" — §3.2).
-    ev = events.withColumn(
-        "dev_v", F.col("battery_v") - _expected_v(F.col("ts") - F.lit(t0))
-    ).withColumn("nearest_ws", nearest_ws)
-    agg = sliding(
-        ev, time_col="t", size=window, slide=slide, keys=["train_id"],
-        aggs=[
-            F.avg("dev_v").alias("avg_dev_v"),
-            F.max("battery_temp_c").alias("max_temp_c"),
-            F.max_by("nearest_ws", "ts").alias("workshop_id"),
-            F.count("*").alias("n_events"),
-        ],
+    spark = events.sparkSession
+    register_meos_udfs(spark, [EXPECTED_V_UDF])
+    stmt = q5_sql(
+        workshop_zones, t0=t0, window=window, slide=slide,
+        dev_threshold_v=dev_threshold_v, overheat_c=overheat_c,
     )
-    return agg.withColumn(
-        "alert_deviation", F.abs(F.col("avg_dev_v")) > dev_threshold_v
-    ).withColumn(
-        "alert_overheat", F.col("max_temp_c") > overheat_c
-    ).filter(F.col("alert_deviation") | F.col("alert_overheat")).select(
-        F.col("w_start").cast("long").alias("w_start_s"),
-        "train_id", "avg_dev_v", "max_temp_c",
-        "alert_deviation", "alert_overheat", "workshop_id",
+    return spark.sql(stmt, ev=events)
+
+
+def q6_sql(*, window: str = "60 seconds", full_occupancy: float = 1.0) -> str:
+    return (
+        "SELECT CAST(w.start AS BIGINT) AS w_start_s, train_id, max_onboard, capacity, "
+        f"occupancy, occupancy >= {lit(full_occupancy)} AS is_full "
+        "FROM (SELECT *, max_onboard / capacity AS occupancy "
+        f"FROM (SELECT {_window(window)} AS w, train_id, max(onboard) AS max_onboard, "
+        "max(capacity) AS capacity FROM {ev} GROUP BY w, train_id))"
     )
 
 
@@ -231,22 +267,8 @@ def q6_heavy_passenger_load(
     reaches seat capacity (no free seats) — the signal used to suggest
     adding a train (see :func:`q6_extra_train_suggestion`).
     """
-    agg = tumbling(
-        events, time_col="t", size=window, keys=["train_id"],
-        aggs=[
-            F.max("onboard").alias("max_onboard"),
-            F.max("capacity").alias("capacity"),
-            F.count("*").alias("n_events"),
-        ],
-    )
-    return agg.withColumn(
-        "occupancy", F.col("max_onboard") / F.col("capacity")
-    ).withColumn(
-        "is_full", F.col("occupancy") >= full_occupancy
-    ).select(
-        F.col("w_start").cast("long").alias("w_start_s"),
-        "train_id", "max_onboard", "capacity", "occupancy", "is_full",
-    )
+    stmt = q6_sql(window=window, full_occupancy=full_occupancy)
+    return events.sparkSession.sql(stmt, ev=events)
 
 
 def q6_extra_train_suggestion(
@@ -266,6 +288,17 @@ def q6_extra_train_suggestion(
     )
 
 
+def q7_sql(allowed_zones: pd.DataFrame, *, speed_eps_ms: float = 0.5) -> str:
+    """Q7's per-event projection: the ``stopped`` flag and the
+    ``in_allowed`` geofence check."""
+    shapes, _ = shapes_from_df(allowed_zones)
+    in_allowed = EdWithinExpression(X, Y, shapes, 0.0).to_sql()
+    return (
+        f"SELECT *, speed_ms < {lit(speed_eps_ms)} AS stopped, "
+        f"{in_allowed} AS in_allowed FROM {{ev}}"
+    )
+
+
 def q7_unscheduled_stops(
     events: DataFrame,
     allowed_zones: pd.DataFrame,
@@ -282,21 +315,33 @@ def q7_unscheduled_stops(
     unscheduled when it began outside every allowed zone (the carried
     per-event flag at the window start).
     """
-    shapes, _ = shapes_from_df(allowed_zones)
-    in_allowed = EdWithinExpression(field("x"), field("y"), shapes, 0.0).to_column()
-
-    flagged = events.withColumn(
-        "stopped", F.col("speed_ms") < speed_eps_ms
-    ).withColumn("in_allowed", in_allowed)
+    flagged = events.sparkSession.sql(
+        q7_sql(allowed_zones, speed_eps_ms=speed_eps_ms), ev=events
+    )
     stops = threshold_window(
         flagged, key_cols=["train_id"], flag_col="stopped",
         min_duration_s=min_stop_s, carry_cols=["x", "y", "in_allowed"],
     )
-    return stops.withColumn(
-        "unscheduled", ~F.col("in_allowed_first")
-    ).select(
+    return stops.select(
         "train_id", "w_start", "w_end", "duration_s", "n_events",
-        "x_first", "y_first", "unscheduled",
+        "x_first", "y_first", (~F.col("in_allowed_first")).alias("unscheduled"),
+    )
+
+
+def q8a_sql(
+    *,
+    window: str = "120 seconds",
+    segment_len_m: float = 5_000.0,
+    emergency_bar: float = EMERGENCY_BAR,
+    min_repeats: int = 3,
+) -> str:
+    return (
+        "SELECT CAST(w.start AS BIGINT) AS w_start_s, train_id, segment, n_emergency, "
+        f"n_emergency >= {lit(min_repeats)} AS alert "
+        f"FROM (SELECT {_window(window)} AS w, train_id, segment, count(*) AS n_emergency "
+        f"FROM (SELECT *, CAST(FLOOR(s_route / {lit(segment_len_m)}) AS BIGINT) AS segment "
+        f"FROM {{ev}} WHERE brake_bar < {lit(emergency_bar)}) "
+        "GROUP BY w, train_id, segment)"
     )
 
 
@@ -315,18 +360,18 @@ def q8_emergency_clusters(
     with ``min_repeats`` or more are the "repeated emergency brakes in
     specific track segments" pattern.
     """
-    em = events.filter(F.col("brake_bar") < emergency_bar).withColumn(
-        "segment", F.floor(F.col("s_route") / F.lit(segment_len_m)).cast("long")
+    stmt = q8a_sql(
+        window=window, segment_len_m=segment_len_m,
+        emergency_bar=emergency_bar, min_repeats=min_repeats,
     )
-    agg = tumbling(
-        em, time_col="t", size=window, keys=["train_id", "segment"],
-        aggs=[F.count("*").alias("n_emergency")],
-    )
-    return agg.withColumn(
-        "alert", F.col("n_emergency") >= min_repeats
-    ).select(
-        F.col("w_start").cast("long").alias("w_start_s"),
-        "train_id", "segment", "n_emergency", "alert",
+    return events.sparkSession.sql(stmt, ev=events)
+
+
+def q8b_sql(*, low_bar: float = LOW_PRESSURE_BAR, moving_eps_kmh: float = 3.6) -> str:
+    """Q8b's per-event projection: the ``low_p`` flag."""
+    return (
+        f"SELECT *, (brake_bar < {lit(low_bar)}) AND (speed_kmh > {lit(moving_eps_kmh)}) "
+        "AS low_p FROM {ev}"
     )
 
 
@@ -343,8 +388,8 @@ def q8_low_pressure(
     the train is moving"; runs of at least ``min_duration_s`` indicate
     decreasing brake effectiveness.
     """
-    flagged = events.withColumn(
-        "low_p", (F.col("brake_bar") < low_bar) & (F.col("speed_kmh") > moving_eps_kmh)
+    flagged = events.sparkSession.sql(
+        q8b_sql(low_bar=low_bar, moving_eps_kmh=moving_eps_kmh), ev=events
     )
     return threshold_window(
         flagged, key_cols=["train_id"], flag_col="low_p",

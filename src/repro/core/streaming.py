@@ -15,11 +15,11 @@ from collections.abc import Callable
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core import queries as Q
 from repro.meos.vectorized import min_zone_distance
 from repro.nebula.windows import ThresholdWindowOperator
+from repro.sncb.sensors import LOW_PRESSURE_BAR
 from repro.sncb.zones import shapes_from_df
 
 
@@ -76,9 +76,11 @@ def q8a_streaming(
 class Q7StopDetector:
     """Q7 as a stateful micro-batch pipeline.
 
-    Per batch: project the event columns in Spark, feed the incremental
-    threshold operator (driver-side state), then geofence-check every
-    *closed* stop window against the allowed zones.
+    Per batch: run Q7's per-event projection (the ``stopped`` flag and
+    the compiled ``in_allowed`` geofence check, built once here) in
+    Spark, then feed the incremental threshold operator (driver-side
+    state); a closed stop is unscheduled when it began outside every
+    allowed zone.
     """
 
     def __init__(
@@ -89,7 +91,10 @@ class Q7StopDetector:
         speed_eps_ms: float = 0.5,
     ) -> None:
         self.shapes, _ = shapes_from_df(allowed_zones)
-        self.speed_eps_ms = speed_eps_ms
+        self.stmt = (
+            "SELECT train_id, ts, x, y, stopped, in_allowed "
+            f"FROM ({Q.q7_sql(allowed_zones, speed_eps_ms=speed_eps_ms)})"
+        )
         self.op = ThresholdWindowOperator(
             key_cols=["train_id"], flag_col="stopped",
             min_duration_s=min_stop_s, carry_cols=["x", "y", "in_allowed"],
@@ -98,32 +103,15 @@ class Q7StopDetector:
 
     @staticmethod
     def _classify(wins: pd.DataFrame) -> pd.DataFrame:
-        if len(wins):
-            wins = wins.copy()
-            wins["unscheduled"] = ~wins["in_allowed_first"].astype(bool)
+        wins = wins.copy()
+        wins["unscheduled"] = ~wins["in_allowed_first"].astype(bool)
         return wins
 
     def process_spark_batch(self, batch_df: DataFrame) -> pd.DataFrame:
-        # Per-event geofence predicate evaluated *in the engine* (Arrow
-        # UDF), exactly as the batch query does; only the stateful
-        # threshold operator runs on the driver.
-        shapes = self.shapes
-        from pyspark.sql.functions import pandas_udf
-
-        @pandas_udf("boolean")
-        def _in_allowed(xs: pd.Series, ys: pd.Series) -> pd.Series:
-            return pd.Series(
-                min_zone_distance(xs.to_numpy(), ys.to_numpy(), shapes) <= 0.0
-            )
-
-        pdf = (
-            batch_df.select(
-                "train_id", "ts", "x", "y",
-                (F.col("speed_ms") < self.speed_eps_ms).alias("stopped"),
-                _in_allowed(F.col("x"), F.col("y")).alias("in_allowed"),
-            )
-            .toPandas()
-        )
+        # The per-event flags are evaluated *in the engine*, by the same
+        # statement the batch query runs; only the stateful threshold
+        # operator runs on the driver.
+        pdf = batch_df.sparkSession.sql(self.stmt, ev=batch_df).toPandas()
         return self.process_pandas_batch(pdf)
 
     def process_pandas_batch(self, pdf: pd.DataFrame) -> pd.DataFrame:
@@ -149,10 +137,7 @@ class Q7StopDetector:
         if len(tail):
             self.windows.append(tail)
         if not self.windows:
-            return pd.DataFrame(
-                columns=["train_id", "w_start", "w_end", "duration_s",
-                         "n_events", "x_first", "y_first", "unscheduled"]
-            )
+            return tail
         return pd.concat(self.windows, ignore_index=True)
 
 
@@ -160,11 +145,13 @@ class Q8LowPressureDetector:
     """Q8b (persistent low pressure) as a stateful micro-batch pipeline."""
 
     def __init__(
-        self, *, low_bar: float = 4.5, min_duration_s: float = 120.0,
+        self, *, low_bar: float = LOW_PRESSURE_BAR, min_duration_s: float = 120.0,
         moving_eps_kmh: float = 3.6,
     ) -> None:
-        self.low_bar = low_bar
-        self.moving_eps_kmh = moving_eps_kmh
+        self.stmt = (
+            "SELECT train_id, ts, brake_bar, low_p "
+            f"FROM ({Q.q8b_sql(low_bar=low_bar, moving_eps_kmh=moving_eps_kmh)})"
+        )
         self.op = ThresholdWindowOperator(
             key_cols=["train_id"], flag_col="low_p",
             min_duration_s=min_duration_s, value_cols=["brake_bar"],
@@ -172,16 +159,7 @@ class Q8LowPressureDetector:
         self.windows: list[pd.DataFrame] = []
 
     def process_spark_batch(self, batch_df: DataFrame) -> pd.DataFrame:
-        pdf = (
-            batch_df.select(
-                "train_id", "ts", "brake_bar",
-                (
-                    (F.col("brake_bar") < self.low_bar)
-                    & (F.col("speed_kmh") > self.moving_eps_kmh)
-                ).alias("low_p"),
-            )
-            .toPandas()
-        )
+        pdf = batch_df.sparkSession.sql(self.stmt, ev=batch_df).toPandas()
         wins = self.op.process(pdf)
         if len(wins):
             self.windows.append(wins)
@@ -195,7 +173,7 @@ class Q8LowPressureDetector:
         if len(tail):
             self.windows.append(tail)
         if not self.windows:
-            return pd.DataFrame()
+            return tail
         return pd.concat(self.windows, ignore_index=True)
 
 

@@ -188,6 +188,21 @@ class ThresholdWindowOperator:
         self.value_cols = list(value_cols)
         self.carry_cols = list(carry_cols)
         self._pending: dict[tuple, pd.DataFrame] = {}
+        #: dtypes of the key and carried columns, from the last batch.
+        self._dtypes: dict[str, object] = {}
+
+    def empty(self) -> pd.DataFrame:
+        """A frame with no windows but every window column, typed: what
+        ``process``/``flush`` return when no window closes."""
+        cols = {"w_start": "float64", "w_end": "float64", "duration_s": "float64",
+                "n_events": "int64"}
+        for c in self.carry_cols:
+            cols[f"{c}_first"] = self._dtypes.get(c, object)
+        for c in self.value_cols:
+            cols.update({f"{c}_{s}": "float64" for s in ("mean", "min", "max")})
+        for k in self.key_cols:
+            cols[k] = self._dtypes.get(k, object)
+        return pd.DataFrame({c: pd.Series(dtype=t) for c, t in cols.items()})
 
     def _close(self, pdf: pd.DataFrame, *, final: bool) -> tuple[pd.DataFrame, pd.DataFrame]:
         """(closed windows, open-run tail) of one key's sorted events."""
@@ -207,6 +222,9 @@ class ThresholdWindowOperator:
 
     def process(self, batch: pd.DataFrame) -> pd.DataFrame:
         """Feed one micro-batch; returns windows closed by this batch."""
+        self._dtypes.update(
+            (c, batch[c].dtype) for c in (*self.key_cols, *self.carry_cols) if c in batch
+        )
         out = []
         for key, g in batch.groupby(self.key_cols, sort=False):
             key = key if isinstance(key, tuple) else (key,)
@@ -221,7 +239,7 @@ class ThresholdWindowOperator:
                 for k, v in zip(self.key_cols, key):
                     wins[k] = v
                 out.append(wins)
-        return pd.concat(out, ignore_index=True) if out else pd.DataFrame()
+        return pd.concat(out, ignore_index=True) if out else self.empty()
 
     def flush(self) -> pd.DataFrame:
         """Close all open runs (end of stream)."""
@@ -233,4 +251,4 @@ class ThresholdWindowOperator:
                     wins[k] = v
                 out.append(wins)
         self._pending.clear()
-        return pd.concat(out, ignore_index=True) if out else pd.DataFrame()
+        return pd.concat(out, ignore_index=True) if out else self.empty()

@@ -140,3 +140,31 @@ class TestQ8bForeachBatch:
         batch = Q.q8_low_pressure(brake_sdf).toPandas()
         cols = ["train_id", "w_start", "w_end", "n_events"]
         pd.testing.assert_frame_equal(_canon(streamed, cols), _canon(batch, cols))
+
+
+class TestDetectorsWithoutWindows:
+    """A stream in which no window closes still yields the window
+    columns, for an empty batch and for a batch without any run."""
+
+    def test_q8b_finish_has_columns(self, spark, brake_pdf):
+        det = Q8LowPressureDetector()
+        healthy = brake_pdf.drop(columns=["t"]).head(50).assign(brake_bar=9.0)
+        sdf = spark.createDataFrame(healthy)
+        assert len(det.process_spark_batch(sdf.limit(0))) == 0
+        assert len(det.process_spark_batch(sdf)) == 0
+        out = det.finish()
+        assert len(out) == 0
+        for c in ["train_id", "w_start", "w_end", "duration_s", "n_events",
+                  "brake_bar_mean", "brake_bar_min", "brake_bar_max"]:
+            assert c in out.columns
+        assert out["w_start"].dtype == np.float64
+
+    def test_q7_finish_has_columns(self, spark, stop_pdf):
+        det = Q7StopDetector(zones_df(["station", "workshop"]))
+        moving = stop_pdf.drop(columns=["t", "dwell"]).assign(speed_ms=10.0).head(50)
+        assert len(det.process_spark_batch(spark.createDataFrame(moving))) == 0
+        out = det.finish()
+        assert len(out) == 0
+        for c in ["train_id", "w_start", "w_end", "duration_s", "n_events",
+                  "x_first", "y_first", "unscheduled"]:
+            assert c in out.columns

@@ -2,7 +2,9 @@
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
+from repro.core import throughput
 from repro.core.throughput import (
     ALL_QUERIES,
     PAPER_TABLE1,
@@ -13,6 +15,8 @@ from repro.core.throughput import (
     measure_query,
     table1,
 )
+from repro.nebula import expressions
+from repro.nebula.engine import split_batches
 from repro.sncb.events import event_size_for_query
 
 SMALL = dict(duration_s=300.0, batch_rows=600)
@@ -94,3 +98,60 @@ class TestTable1:
         text = format_table1(df)
         assert "q1" in text and "q7" in text
         assert "paper MB/s" in text
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+class TestCompiledProcessor:
+    @pytest.mark.parametrize("qid", ALL_QUERIES)
+    def test_batch_lowers_no_expression(self, spark, qid, monkeypatch):
+        """The query is compiled when the processor is built; running it
+        on a batch builds no expression and defines no UDF again."""
+        proc = make_processor(spark, qid, duration_s=120.0)
+        calls = []
+
+        def counting(fn, name):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for cls in [expressions.Expression, *_subclasses(expressions.Expression)]:
+            for name in ("to_sql", "to_column", "_sql", "_udf_column"):
+                if name in vars(cls):
+                    monkeypatch.setattr(cls, name, counting(vars(cls)[name], name))
+        monkeypatch.setattr(F, "pandas_udf", counting(F.pandas_udf, "pandas_udf"))
+        assert proc(build_events(qid, duration_s=120.0).head(600)) >= 0
+        assert calls == []
+
+
+class TestMeasureQueryWarmup:
+    def test_q7_measured_once_per_batch_equals_single_pass(self, spark, monkeypatch):
+        """Warm-up batches go to their own processor: the measured Q7
+        detector sees every batch once, so its output is a single pass."""
+        duration_s, batch_rows = 600.0, 600
+        fed: list[list[float]] = []
+
+        def recording(*args, **kwargs):
+            proc, seen = make_processor(*args, **kwargs), []
+            fed.append(seen)
+
+            def run(b):
+                seen.append(float(b["ts"].iloc[0]))
+                return proc(b)
+            return run
+
+        monkeypatch.setattr(throughput, "make_processor", recording)
+        r = measure_query(spark, "q7", duration_s=duration_s, batch_rows=batch_rows)
+        monkeypatch.undo()
+
+        batches = list(split_batches(build_events("q7", duration_s=duration_s), batch_rows))
+        firsts = [float(b["ts"].iloc[0]) for b in batches]
+        assert firsts in fed  # the measured processor: each batch once, in order
+        assert all(len(seen) in (1, len(batches)) for seen in fed)
+        proc = make_processor(spark, "q7", duration_s=duration_s)
+        assert r.n_output == sum(proc(b) for b in batches) > 0

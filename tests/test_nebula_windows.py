@@ -247,3 +247,30 @@ class TestThresholdWindowOperator:
         out3 = op.flush()
         total = sum(len(o) for o in (out1, out2, out3))
         assert total == 1
+
+    def test_no_window_results_are_typed_and_carry_the_columns(self):
+        op = self._op()
+        full = op.process(stop_frame())
+        expected = list(full.columns)
+        frames = {
+            "empty batch": op.process(stop_frame().iloc[0:0]),
+            "no runs": op.process(stop_frame().assign(stopped=False)),
+            "nothing open": op.flush(),
+        }
+        for what, got in frames.items():
+            assert len(got) == 0, what
+            assert list(got.columns) == expected, what
+            assert got["w_start"].dtype == np.float64, what
+            assert got["n_events"].dtype == np.int64, what
+            assert got["speed_mean"].dtype == np.float64, what
+            assert got["x_first"].dtype == full["x_first"].dtype, what
+            assert got["train"].dtype == stop_frame()["train"].dtype, what
+        # Concatenating with a non-empty result keeps the dtypes.
+        both = pd.concat([frames["empty batch"], full], ignore_index=True)
+        assert both.dtypes.equals(full.dtypes)
+
+    def test_fresh_operator_flush_has_the_columns(self):
+        got = self._op().flush()
+        assert len(got) == 0
+        assert {"train", "w_start", "w_end", "duration_s", "n_events",
+                "x_first", "speed_mean", "speed_min", "speed_max"} <= set(got.columns)
