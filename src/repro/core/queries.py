@@ -237,7 +237,7 @@ def q5_battery_monitoring(
     ``t0`` anchors the cycle phase (default: stream epoch).
     """
     spark = events.sparkSession
-    register_meos_udfs(spark, [EXPECTED_V_UDF])
+    register_meos_udfs(spark)
     stmt = q5_sql(
         workshop_zones, t0=t0, window=window, slide=slide,
         dev_threshold_v=dev_threshold_v, overheat_c=overheat_c,

@@ -15,8 +15,6 @@ string needs a running session, and this module is imported before one.
 """
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 import pandas as pd
 from pyspark.sql import SparkSession
 from pyspark.sql.functions import pandas_udf
@@ -57,10 +55,8 @@ MEOS_UDFS = {
 MEOS_UDF_NAMES = list(MEOS_UDFS)
 
 
-def register_meos_udfs(spark: SparkSession, names: Iterable[str] | None = None) -> list[str]:
-    """Register the MEOS kernel UDFs (all, or ``names``) into ``spark``;
-    returns the names."""
-    names = MEOS_UDF_NAMES if names is None else list(names)
-    for name in names:
-        spark.udf.register(name, MEOS_UDFS[name])
-    return list(names)
+def register_meos_udfs(spark: SparkSession) -> list[str]:
+    """Register the MEOS kernel UDFs into ``spark``; returns the names."""
+    for name, udf in MEOS_UDFS.items():
+        spark.udf.register(name, udf)
+    return list(MEOS_UDF_NAMES)
