@@ -5,16 +5,11 @@
 Quantifies the paper's "push computation to IoT devices" claim on the
 simulated coordinator/worker topology with selectivities measured on
 the synthetic SNCB streams (no Spark needed — edge-side operators are
-the MEOS numpy kernels).
+the MEOS numpy kernels); see ``repro.core.throughput.table1b``.
 """
 import argparse
 
-import numpy as np
-
-from repro.meos.vectorized import in_any_zone, run_lengths
-from repro.nebula.topology import Operator, Topology, place, transfer_bytes
-from repro.sncb.events import event_size_for_query, geofence_events, stop_events
-from repro.sncb.zones import shapes_from_df, zones_df
+from repro.core.throughput import table1b
 
 if __name__ == "__main__":
     p = argparse.ArgumentParser(description=__doc__)
@@ -23,43 +18,9 @@ if __name__ == "__main__":
     p.add_argument("--seed", type=int, default=0)
     args = p.parse_args()
 
-    topo = Topology(6)
-    print(f"topology: {len(topo.edges)} edge workers + 1 coordinator\n")
-
-    # Q1: alert filter at the edge.
-    gf = geofence_events(duration_s=args.duration_s, dt=args.dt, seed=args.seed)
-    shapes, _ = shapes_from_df(zones_df(["maintenance"]))
-    keep = (
-        (gf["alert_kind"] != "").to_numpy()
-        & (
-            gf["alert_essential"].to_numpy()
-            | ~in_any_zone(gf["x"].to_numpy(), gf["y"].to_numpy(), shapes)
-        )
+    df = table1b(duration_s=args.duration_s, dt=args.dt, seed=args.seed)
+    df["uplink_mb"] = df["bytes_shipped"] / 1e6
+    print(
+        df[["qid", "strategy", "events_generated", "events_shipped", "uplink_mb",
+            "savings_frac"]].to_string(index=False, float_format="{:.4f}".format)
     )
-    ops = [Operator("q1_filter", selectivity=float(keep.mean()))]
-    size = event_size_for_query("q1")
-    for strat in ("cloud", "pushdown"):
-        rep = transfer_bytes(ops, place(ops, strat), n_events=len(gf), event_size=size)
-        print(
-            f"Q1  {strat:<9} uplink={rep.bytes_shipped/1e6:8.3f} MB "
-            f"({rep.events_shipped:,} events, savings {rep.savings_frac:.1%})"
-        )
-
-    # Q7: stop-window detection at the edge.
-    st = stop_events(duration_s=args.duration_s, dt=args.dt, seed=args.seed)
-    n_windows = 0
-    for _, g in st.groupby("train_id", sort=False):
-        flag = g["speed_ms"].to_numpy() < 0.5
-        ts = g["ts"].to_numpy()
-        s, e, _ = run_lengths(flag)
-        n_windows += int(np.sum(ts[e - 1] - ts[s] >= 60.0))
-    ops7 = [
-        Operator("q7_windows", selectivity=n_windows / len(st), out_event_size=64)
-    ]
-    size7 = event_size_for_query("q7")
-    for strat in ("cloud", "pushdown"):
-        rep = transfer_bytes(ops7, place(ops7, strat), n_events=len(st), event_size=size7)
-        print(
-            f"Q7  {strat:<9} uplink={rep.bytes_shipped/1e6:8.3f} MB "
-            f"({rep.events_shipped:,} records, savings {rep.savings_frac:.1%})"
-        )

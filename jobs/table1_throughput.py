@@ -9,7 +9,7 @@ import argparse
 
 from repro.core.throughput import format_table1, table1
 
-from _common import get_spark
+from run_query import get_spark
 
 if __name__ == "__main__":
     p = argparse.ArgumentParser(description=__doc__)

@@ -10,11 +10,15 @@ Each query ``N`` has two faces:
   ``{wx}``). Building it touches no Spark session, so a processor
   builds it once and runs it on every micro-batch: NebulaStream's
   compile-once-at-deployment model (§2.3).
-* ``qN_…(events, …) -> DataFrame`` is the transform the tests, jobs and
-  the Structured-Streaming wrappers call:
+* ``qN_…(events, …) -> DataFrame`` is the transform the tests, the job
+  runner and the Structured-Streaming wrappers call:
   ``events.sparkSession.sql(qN_sql(…), ev=events)``. The same transform
   runs in batch, micro-batch, and Structured Streaming (see
   `repro.nebula.engine` / `repro.core.streaming`).
+
+``QUERY_ZONES`` names each query's static zone tables; the processor
+(`repro.core.throughput.make_processor`) and the job runner
+(``jobs/run_query.py``) both read it.
 
 Q7 and Q8b keep their threshold window (``applyInPandas``); only their
 per-event projection is a statement.
@@ -31,7 +35,7 @@ oracle-checked in tests/test_core_queries_*.py.
 from __future__ import annotations
 
 import pandas as pd
-from pyspark.sql import Column, DataFrame
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.udfs import EXPECTED_V_UDF, register_meos_udfs
@@ -55,6 +59,12 @@ from repro.sncb.zones import shapes_from_df
 
 lit = sql_literal
 X, Y = field("x"), field("y")
+
+#: qid → the zone kinds (``sncb.zones.zones_df``) its statement reads.
+QUERY_ZONES: dict[str, list[str]] = {
+    "q1": ["maintenance"], "q2": ["neighbourhood"], "q3": ["curve"],
+    "q5": ["workshop"], "q7": ["station", "workshop"],
+}
 
 
 def _window(size: str, slide: str | None = None) -> str:
@@ -156,10 +166,6 @@ def weather_cell_sql(x: str = "x", y: str = "y") -> str:
     ix = f"CAST(FLOOR(({field(x).to_sql()} - {lit(x0)}) / {lit(CELL_SIZE_M)}) AS BIGINT)"
     iy = f"CAST(FLOOR(({field(y).to_sql()} - {lit(y0)}) / {lit(CELL_SIZE_M)}) AS BIGINT)"
     return f"(({iy} * {lit(nx)}) + {ix})"
-
-
-def weather_cell_column(x: str = "x", y: str = "y") -> Column:
-    return F.expr(weather_cell_sql(x, y))
 
 
 def q4_sql() -> str:

@@ -15,11 +15,14 @@ event size (`sncb.events`). Absolute numbers will differ from the
 paper's Intel-Atom edge device — EXPERIMENTS.md compares *shape*:
 per-query ratios and ordering. ``edge_mode`` constrains execution to a
 single partition to approximate the single-board deployment.
+
+:func:`table1b` adds the push-down comparison (uplink bytes with the
+operators in the cloud vs on the trains).
 """
 from __future__ import annotations
 
+import re
 import time
-import uuid
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -29,11 +32,14 @@ from pyspark.sql import SparkSession
 from repro.core import queries as Q
 from repro.core.streaming import Q7StopDetector, Q8LowPressureDetector
 from repro.core.udfs import register_meos_udfs
+from repro.meos.vectorized import in_any_zone
 from repro.nebula.engine import split_batches
+from repro.nebula.topology import Operator, place, transfer_bytes
+from repro.nebula.windows import ThresholdWindowOperator
 from repro.sncb.events import EVENT_BUILDERS, event_size_for_query
 from repro.sncb.trains import T0_EPOCH
 from repro.sncb.weather import weather_stream
-from repro.sncb.zones import zones_df
+from repro.sncb.zones import shapes_from_df, zones_df
 
 #: qid → (paper MB/s, paper events/s).
 PAPER_TABLE1: dict[str, tuple[float, int]] = {
@@ -92,28 +98,24 @@ def make_processor(
     def count_rows(stmt: str) -> Callable[[pd.DataFrame], int]:
         return lambda b: spark.sql(stmt, ev=to_spark(b)).count()
 
+    zones = zones_df(Q.QUERY_ZONES[qid]) if qid in Q.QUERY_ZONES else None
     if qid == "q1":
-        return count_rows(Q.q1_sql(zones_df(["maintenance"])))
+        return count_rows(Q.q1_sql(zones))
     if qid == "q2":
-        return count_rows(Q.q2_sql(zones_df(["neighbourhood"])))
+        return count_rows(Q.q2_sql(zones))
     if qid == "q3":
-        return count_rows(Q.q3_sql(zones_df(["curve"])))
+        return count_rows(Q.q3_sql(zones))
     if qid == "q4":
-        wx = spark.createDataFrame(
-            weather_stream(t0=T0_EPOCH, duration_s=duration_s, seed=seed)
-        ).cache()
-        wx.count()  # materialise outside the timed loop
         # The static view is bound once; only {ev} is bound per batch.
-        view = f"weather_{uuid.uuid4().hex}"
-        wx.createOrReplaceTempView(view)
+        view = weather_view(spark, duration_s=duration_s, seed=seed)
         return count_rows(Q.q4_sql().replace("{wx}", view))
     if qid == "q5":
         register_meos_udfs(spark)
-        return count_rows(Q.q5_sql(zones_df(["workshop"])))
+        return count_rows(Q.q5_sql(zones))
     if qid == "q6":
         return count_rows(Q.q6_sql())
     if qid == "q7":
-        det = Q7StopDetector(zones_df(["station", "workshop"]))
+        det = Q7StopDetector(zones)
         return lambda b: len(det.process_spark_batch(to_spark(b)))
     if qid == "q8":
         det = Q8LowPressureDetector()
@@ -127,6 +129,21 @@ def make_processor(
 
         return q8
     raise ValueError(f"unknown query {qid!r}")
+
+
+def weather_view(spark: SparkSession, *, duration_s: float, seed: int) -> str:
+    """The temp view of Q4's weather table for a ``duration_s`` stream
+    and ``seed``. The first call caches and materialises the table;
+    later calls with the same arguments reuse it, so building processors
+    and jobs again does not pile up cached tables."""
+    view = re.sub(r"\W", "_", f"weather_{float(duration_s)}_{seed}")
+    if not spark.catalog.tableExists(view):
+        wx = spark.createDataFrame(
+            weather_stream(t0=T0_EPOCH, duration_s=duration_s, seed=seed)
+        ).cache()
+        wx.count()  # materialise outside the timed loop
+        wx.createOrReplaceTempView(view)
+    return view
 
 
 def measure_query(
@@ -237,3 +254,38 @@ def format_table1(df: pd.DataFrame) -> str:
             f"{r.event_size_b:>8} {r.n_output:>8}"
         )
     return "\n".join(lines)
+
+
+def table1b(*, duration_s: float = 3600.0, dt: float = 0.5, seed: int = 0) -> pd.DataFrame:
+    """Table 1b — uplink bytes of Q1 and Q7 on the coordinator/worker
+    model (`repro.nebula.topology`) with every operator in the cloud vs
+    pushed down to the trains.
+
+    Each query's edge-side selectivity is measured on its own stream,
+    without Spark: Q1's alert filter with the MEOS zone kernel, Q7's
+    stop windows (≥ 60 s below 0.5 m/s, each shipped as a 64-byte
+    record) with the threshold operator.
+    """
+    gf = EVENT_BUILDERS["q1"](duration_s=duration_s, dt=dt, seed=seed)
+    shapes, _ = shapes_from_df(zones_df(Q.QUERY_ZONES["q1"]))
+    in_mnt = in_any_zone(gf["x"].to_numpy(), gf["y"].to_numpy(), shapes)
+    keep = (gf["alert_kind"] != "").to_numpy() & (gf["alert_essential"].to_numpy() | ~in_mnt)
+
+    st = EVENT_BUILDERS["q7"](duration_s=duration_s, dt=dt, seed=seed)
+    op = ThresholdWindowOperator(key_cols=["train_id"], flag_col="stopped", min_duration_s=60.0)
+    n_windows = len(op.process(st.assign(stopped=st["speed_ms"] < 0.5))) + len(op.flush())
+
+    chains = {
+        "q1": (len(gf), [Operator("q1_filter", selectivity=float(keep.mean()))]),
+        "q7": (len(st), [Operator("q7_windows", selectivity=n_windows / len(st),
+                                  out_event_size=64)]),
+    }
+    rows = []
+    for qid, (n, ops) in chains.items():
+        for strategy in ("cloud", "pushdown"):
+            rep = transfer_bytes(
+                ops, place(ops, strategy), n_events=n, event_size=event_size_for_query(qid)
+            )
+            rows.append({"qid": qid, "strategy": strategy, **rep.__dict__,
+                         "savings_frac": rep.savings_frac})
+    return pd.DataFrame(rows)

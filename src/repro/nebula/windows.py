@@ -2,11 +2,12 @@
 
 §2.3: "MEOS extends the expressions processing framework to support
 tumbling, sliding, and threshold windows over spatiotemporal data
-streams." This module reproduces those three window kinds:
+streams." Tumbling and sliding windows are Catalyst's own
+``window(t, size[, slide])``, which the query statements of
+``repro.core.queries`` call (``_window``) identically on batch and
+streaming DataFrames (streaming callers add a watermark). This module
+adds the third kind, which Spark lacks:
 
-* :func:`tumbling` / :func:`sliding` — thin, typed wrappers over
-  Catalyst's ``window`` with flattened bounds, usable identically on
-  batch and streaming DataFrames (streaming callers add a watermark).
 * :func:`threshold_window` — *predicate-bounded* windows: a window
   opens while a boolean column holds and closes when it drops, keeping
   only runs of at least ``min_duration_s`` (Q7 stop detection, Q8
@@ -22,56 +23,10 @@ from collections.abc import Sequence
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import Column, DataFrame
-from pyspark.sql import functions as F
+from pyspark.sql import DataFrame
 
 from repro.meos.vectorized import run_lengths
 
-
-def _flatten_window(df: DataFrame, keys: Sequence[str]) -> DataFrame:
-    cols = [F.col("window.start").alias("w_start"), F.col("window.end").alias("w_end")]
-    cols += [F.col(k) for k in keys]
-    cols += [F.col(c) for c in df.columns if c not in ("window", *keys)]
-    return df.select(*cols)
-
-
-def tumbling(
-    df: DataFrame,
-    *,
-    time_col: str = "t",
-    size: str = "60 seconds",
-    keys: Sequence[str] = (),
-    aggs: Sequence[Column] = (),
-) -> DataFrame:
-    """Tumbling window aggregation with flattened w_start/w_end bounds."""
-    if not aggs:
-        raise ValueError("tumbling window needs at least one aggregate")
-    grouped = df.groupBy(F.window(F.col(time_col), size), *[F.col(k) for k in keys])
-    return _flatten_window(grouped.agg(*aggs), keys)
-
-
-def sliding(
-    df: DataFrame,
-    *,
-    time_col: str = "t",
-    size: str = "300 seconds",
-    slide: str = "60 seconds",
-    keys: Sequence[str] = (),
-    aggs: Sequence[Column] = (),
-) -> DataFrame:
-    """Sliding (hopping) window aggregation: windows of ``size`` every
-    ``slide``; an event lands in size/slide windows."""
-    if not aggs:
-        raise ValueError("sliding window needs at least one aggregate")
-    grouped = df.groupBy(
-        F.window(F.col(time_col), size, slide), *[F.col(k) for k in keys]
-    )
-    return _flatten_window(grouped.agg(*aggs), keys)
-
-
-# ---------------------------------------------------------------------
-# Threshold windows
-# ---------------------------------------------------------------------
 
 def _runs_to_windows(
     pdf: pd.DataFrame,

@@ -8,7 +8,7 @@ from repro.core.queries import (
     q2_noise_monitoring,
     q3_dynamic_speed_limit,
     q4_weather_speed_zones,
-    weather_cell_column,
+    weather_cell_sql,
 )
 from repro.oracle import assert_equivalent
 from repro.sncb.weather import cell_id_of, cell_id_sql
@@ -146,7 +146,7 @@ class TestQ3DynamicSpeedLimit:
 class TestQ4WeatherSpeedZones:
     def test_cell_column_matches_kernel(self, geofence_sdf, geofence_pdf):
         got = (
-            geofence_sdf.select("seq", weather_cell_column().alias("cid"))
+            geofence_sdf.select("seq", F.expr(weather_cell_sql()).alias("cid"))
             .orderBy("seq")
             .toPandas()
         )

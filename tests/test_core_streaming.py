@@ -15,9 +15,7 @@ from repro.core import queries as Q
 from repro.core.streaming import (
     Q7StopDetector,
     Q8LowPressureDetector,
-    q1_streaming,
     q2_streaming,
-    q3_streaming,
     q6_streaming,
     run_foreach_batch_stream,
 )
@@ -45,7 +43,7 @@ class TestQ1Streaming:
     def test_matches_batch(self, spark, geofence_pdf, geofence_sdf):
         zones = zones_df(["maintenance"])
         streamed = stream_events_end_to_end(
-            spark, q1_streaming(zones), geofence_pdf, n_files=6
+            spark, lambda df: Q.q1_alert_filtering(df, zones), geofence_pdf, n_files=6
         )
         batch = Q.q1_alert_filtering(geofence_sdf, zones).toPandas()
         cols = ["train_id", "ts", "alert_kind"]
@@ -75,7 +73,7 @@ class TestQ3Streaming:
     def test_matches_batch(self, spark, geofence_pdf, geofence_sdf):
         zones = zones_df(["curve"])
         streamed = stream_events_end_to_end(
-            spark, q3_streaming(zones), geofence_pdf, n_files=6
+            spark, lambda df: Q.q3_dynamic_speed_limit(df, zones), geofence_pdf, n_files=6
         )
         batch = Q.q3_dynamic_speed_limit(geofence_sdf, zones).toPandas()
         cols = ["train_id", "ts", "zone_id", "speed_limit_kmh"]

@@ -14,6 +14,7 @@ from repro.core.throughput import (
     make_processor,
     measure_query,
     table1,
+    table1b,
 )
 from repro.nebula import expressions
 from repro.nebula.engine import split_batches
@@ -98,6 +99,34 @@ class TestTable1:
         text = format_table1(df)
         assert "q1" in text and "q7" in text
         assert "paper MB/s" in text
+
+
+class TestTable1b:
+    """Push-down ships fewer uplink bytes than shipping raw events to the
+    cloud; for Q7's stop windows it saves more than 99 %."""
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        return table1b(duration_s=600.0).set_index(["qid", "strategy"])
+
+    def test_q1_pushdown_ships_fewer_bytes(self, report):
+        assert (report.loc[("q1", "pushdown"), "bytes_shipped"]
+                < report.loc[("q1", "cloud"), "bytes_shipped"])
+
+    def test_q7_pushdown_saves_over_99_percent(self, report):
+        assert report.loc[("q7", "pushdown"), "savings_frac"] > 0.99
+
+
+class TestWeatherView:
+    def test_rebuilt_q4_processor_reuses_its_weather_table(self, spark):
+        def views():
+            temp = [t.name for t in spark.catalog.listTables() if t.isTemporary]
+            return len(temp), sum(spark.catalog.isCached(v) for v in temp)
+
+        make_processor(spark, "q4", duration_s=180.0)
+        before = views()
+        make_processor(spark, "q4", duration_s=180.0)
+        assert views() == before
 
 
 def _subclasses(cls):

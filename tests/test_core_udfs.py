@@ -3,10 +3,8 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.udfs import MEOS_UDF_NAMES, register_meos_udfs
-from repro.meos.geometry import haversine_m
+from repro.core.udfs import EXPECTED_V_UDF, MEOS_UDF_NAMES, register_meos_udfs
 from repro.sncb.sensors import expected_battery_voltage
-from repro.sncb.weather import cell_id_of
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -16,7 +14,7 @@ def registered(spark):
 
 class TestRegistration:
     def test_returns_all_names(self, registered):
-        assert registered == MEOS_UDF_NAMES
+        assert registered == MEOS_UDF_NAMES == [EXPECTED_V_UDF]
 
     def test_functions_visible_in_catalog(self, spark):
         names = {f.name for f in spark.catalog.listFunctions()}
@@ -40,23 +38,6 @@ class TestSqlExecution:
         np.testing.assert_allclose(
             got["v"], expected_battery_voltage(pdf["ts_rel"].to_numpy()), rtol=1e-12
         )
-
-    def test_weather_cell(self, spark):
-        pdf = pd.DataFrame({"x": [0.0, 50_000.0], "y": [0.0, -30_000.0]})
-        spark.createDataFrame(pdf).createOrReplaceTempView("pos")
-        got = spark.sql(
-            "SELECT meos_weather_cell(x, y) AS c FROM pos ORDER BY x"
-        ).toPandas()
-        np.testing.assert_array_equal(
-            got["c"].to_numpy(), cell_id_of(pdf["x"].to_numpy(), pdf["y"].to_numpy())
-        )
-
-    def test_haversine(self, spark):
-        got = spark.sql(
-            "SELECT meos_haversine_m(4.3517, 50.8503, 4.4025, 51.2194) AS d"
-        ).toPandas()
-        expected = haversine_m(4.3517, 50.8503, 4.4025, 51.2194)
-        assert got["d"][0] == pytest.approx(float(expected))
 
     def test_usable_in_where_clause(self, spark):
         """The registered kernels compose with relational operators —

@@ -4,12 +4,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.nebula.engine import (
-    run_batch,
-    run_micro_batches,
-    split_batches,
-    stream_events_end_to_end,
-)
+from repro.nebula.engine import split_batches, stream_events_end_to_end
 
 
 def make_pdf(n=100):
@@ -41,33 +36,6 @@ class TestSplitBatches:
     def test_invalid_batch_rows(self):
         with pytest.raises(ValueError):
             list(split_batches(make_pdf(10), 0))
-
-
-class TestRunBatch:
-    def test_applies_transform(self, spark):
-        df = spark.createDataFrame(make_pdf())
-        assert run_batch(keep_high, df).count() == 50
-
-
-class TestRunMicroBatches:
-    def test_total_matches_batch(self, spark):
-        pdf = make_pdf(200)
-        total = run_micro_batches(spark, keep_high, pdf, batch_rows=64)
-        assert total == 150
-
-    def test_sink_receives_batches(self, spark):
-        collected = []
-        run_micro_batches(
-            spark, keep_high, make_pdf(100), batch_rows=40, sink=collected.append
-        )
-        assert sum(len(c) for c in collected) == 50
-        assert len(collected) == 3
-
-    def test_stateless_transform_independent_of_batching(self, spark):
-        pdf = make_pdf(120)
-        a = run_micro_batches(spark, keep_high, pdf, batch_rows=7)
-        b = run_micro_batches(spark, keep_high, pdf, batch_rows=120)
-        assert a == b
 
 
 class TestStructuredStreaming:

@@ -1,120 +1,11 @@
-"""Tests for repro.nebula.windows — tumbling/sliding/threshold windows."""
+"""Tests for repro.nebula.windows — threshold windows (batch and
+incremental)."""
 import numpy as np
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
-from repro.nebula.windows import (
-    ThresholdWindowOperator,
-    sliding,
-    threshold_window,
-    tumbling,
-)
+from repro.nebula.windows import ThresholdWindowOperator, threshold_window
 from repro.oracle import assert_equivalent
-
-
-def make_events(spark):
-    """Two keys, 10 min of 10 s-spaced events with a known value ramp."""
-    n = 60
-    ts = np.arange(n) * 10.0
-    pdf = pd.DataFrame(
-        {
-            "k": np.tile([1, 2], n // 2),
-            "ts": np.repeat(ts[: n // 2], 2),
-            "v": np.arange(n, dtype=np.float64),
-        }
-    )
-    pdf["t"] = pd.to_datetime(pdf["ts"], unit="s")
-    return pdf, spark.createDataFrame(pdf)
-
-
-class TestTumbling:
-    def test_bounds_and_counts(self, spark):
-        pdf, df = make_events(spark)
-        out = tumbling(
-            df, time_col="t", size="60 seconds", keys=["k"],
-            aggs=[F.count("*").alias("n"), F.avg("v").alias("avg_v")],
-        ).toPandas()
-        # 300 s of events → 5 windows per key.
-        assert len(out) == 10
-        assert set(out["n"]) == {6}
-
-    def test_oracle_equivalence(self, spark):
-        pdf, df = make_events(spark)
-        out = tumbling(
-            df, time_col="t", size="60 seconds", keys=["k"],
-            aggs=[F.count("*").alias("n"), F.avg("v").alias("avg_v")],
-        ).select(
-            F.col("w_start").cast("long").alias("w_start_s"), "k", "n", "avg_v"
-        )
-        assert_equivalent(
-            out,
-            """
-            SELECT CAST(floor(ts / 60) * 60 AS BIGINT) AS w_start_s, k,
-                   count(*) AS n, avg(v) AS avg_v
-            FROM ev GROUP BY 1, 2
-            """,
-            ev=pdf.drop(columns=["t"]),
-        )
-
-    def test_requires_aggs(self, spark):
-        _, df = make_events(spark)
-        with pytest.raises(ValueError):
-            tumbling(df, aggs=[])
-
-    def test_window_bounds_aligned(self, spark):
-        _, df = make_events(spark)
-        out = tumbling(
-            df, time_col="t", size="60 seconds", keys=["k"],
-            aggs=[F.count("*").alias("n")],
-        ).toPandas()
-        secs = out["w_start"].astype("int64") / 1e9
-        assert (secs % 60 == 0).all()
-
-
-class TestSliding:
-    def test_events_in_multiple_windows(self, spark):
-        pdf, df = make_events(spark)
-        out = sliding(
-            df, time_col="t", size="120 seconds", slide="60 seconds",
-            keys=["k"], aggs=[F.count("*").alias("n")],
-        ).toPandas()
-        # Interior windows hold 12 events (two 60 s buckets of 6).
-        assert out["n"].max() == 12
-        # More windows than tumbling (overlap).
-        assert len(out) > 10
-
-    def test_window_length(self, spark):
-        _, df = make_events(spark)
-        out = sliding(
-            df, time_col="t", size="120 seconds", slide="60 seconds",
-            keys=["k"], aggs=[F.count("*").alias("n")],
-        ).toPandas()
-        span = (out["w_end"] - out["w_start"]).dt.total_seconds()
-        assert (span == 120).all()
-
-    def test_oracle_equivalence(self, spark):
-        """Sliding windows re-expressed in SQL: join events to the
-        window starts they fall into."""
-        pdf, df = make_events(spark)
-        out = sliding(
-            df, time_col="t", size="120 seconds", slide="60 seconds",
-            keys=["k"], aggs=[F.count("*").alias("n"), F.max("v").alias("max_v")],
-        ).select(F.col("w_start").cast("long").alias("ws"), "k", "n", "max_v")
-        assert_equivalent(
-            out,
-            """
-            WITH starts AS (
-              SELECT (gs - 1) * 60 AS ws
-              FROM generate_series(0, 10) AS t(gs)
-            )
-            SELECT s.ws, e.k, count(*) AS n, max(e.v) AS max_v
-            FROM ev e JOIN starts s
-              ON e.ts >= s.ws AND e.ts < s.ws + 120
-            GROUP BY 1, 2
-            """,
-            ev=pdf.drop(columns=["t"]),
-        )
 
 
 def stop_frame():
