@@ -17,8 +17,6 @@ if __name__ == "__main__":
     p.add_argument("--dt", type=float, default=0.25)
     p.add_argument("--batch-rows", type=int, default=50_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--edge-mode", action="store_true",
-                   help="single-partition execution (Intel-Atom stand-in)")
     args = p.parse_args()
     spark = get_spark("nebulameos-table1")
     spark.sparkContext.setLogLevel("ERROR")
@@ -28,7 +26,6 @@ if __name__ == "__main__":
         dt=args.dt,
         batch_rows=args.batch_rows,
         seed=args.seed,
-        edge_mode=args.edge_mode,
     )
     print(format_table1(df))
     print("\nQ1-normalised throughput (shape comparison):")

@@ -66,6 +66,11 @@ QUERY_ZONES: dict[str, list[str]] = {
     "q5": ["workshop"], "q7": ["station", "workshop"],
 }
 
+#: Q7's stop: speed below ``Q7_SPEED_EPS_MS`` for at least ``Q7_MIN_STOP_S``.
+Q7_MIN_STOP_S, Q7_SPEED_EPS_MS = 60.0, 0.5
+#: Q8b's run: low pressure while faster than ``Q8B_MOVING_EPS_KMH``, ≥ ``Q8B_MIN_DURATION_S``.
+Q8B_MIN_DURATION_S, Q8B_MOVING_EPS_KMH = 120.0, 3.6
+
 
 def _window(size: str, slide: str | None = None) -> str:
     """An event-time window over ``t`` (tumbling, or sliding by ``slide``)."""
@@ -174,7 +179,8 @@ def q4_sql() -> str:
         "e.speed_kmh, e.speed_kmh > w.suggested_limit_kmh AS violation "
         f"FROM (SELECT *, {weather_cell_sql()} AS cell_id FROM {{ev}}) e "
         "JOIN {wx} w ON e.cell_id = w.cell_id AND e.ts >= w.t_start AND e.ts < w.t_end "
-        "WHERE w.suggested_limit_kmh IS NOT NULL"
+        # An unrestricted limit is NULL, or NaN if converted without Arrow.
+        "WHERE w.suggested_limit_kmh IS NOT NULL AND NOT isnan(w.suggested_limit_kmh)"
     )
 
 
@@ -210,10 +216,14 @@ def q5_sql(
         "SELECT * FROM (SELECT CAST(w.start AS BIGINT) AS w_start_s, train_id, "
         f"avg_dev_v, max_temp_c, abs(avg_dev_v) > {lit(dev_threshold_v)} AS alert_deviation, "
         f"max_temp_c > {lit(overheat_c)} AS alert_overheat, workshop_id "
-        f"FROM (SELECT {_window(window, slide)} AS w, train_id, avg(dev_v) AS avg_dev_v, "
+        "FROM (SELECT w, train_id, avg(dev_v) AS avg_dev_v, "
         "max(battery_temp_c) AS max_temp_c, max_by(nearest_ws, ts) AS workshop_id "
+        # Neither the UDF nor the sliding window's row expansion keeps
+        # the input's partitioning; one partition again here spares a
+        # one-partition batch the exchange before the window aggregate.
+        f"FROM (SELECT /*+ COALESCE(1) */ *, {_window(window, slide)} AS w "
         f"FROM (SELECT *, battery_v - {EXPECTED_V_UDF}(ts - {lit(t0)}) AS dev_v, "
-        f"{nearest_ws} AS nearest_ws FROM {{ev}}) "
+        f"{nearest_ws} AS nearest_ws FROM {{ev}})) "
         "GROUP BY w, train_id)) "
         "WHERE alert_deviation OR alert_overheat"
     )
@@ -294,7 +304,7 @@ def q6_extra_train_suggestion(
     )
 
 
-def q7_sql(allowed_zones: pd.DataFrame, *, speed_eps_ms: float = 0.5) -> str:
+def q7_sql(allowed_zones: pd.DataFrame, *, speed_eps_ms: float = Q7_SPEED_EPS_MS) -> str:
     """Q7's per-event projection: the ``stopped`` flag and the
     ``in_allowed`` geofence check."""
     shapes, _ = shapes_from_df(allowed_zones)
@@ -309,8 +319,8 @@ def q7_unscheduled_stops(
     events: DataFrame,
     allowed_zones: pd.DataFrame,
     *,
-    min_stop_s: float = 60.0,
-    speed_eps_ms: float = 0.5,
+    min_stop_s: float = Q7_MIN_STOP_S,
+    speed_eps_ms: float = Q7_SPEED_EPS_MS,
 ) -> DataFrame:
     """Q7 — unscheduled stops (threshold window + geofence).
 
@@ -373,7 +383,9 @@ def q8_emergency_clusters(
     return events.sparkSession.sql(stmt, ev=events)
 
 
-def q8b_sql(*, low_bar: float = LOW_PRESSURE_BAR, moving_eps_kmh: float = 3.6) -> str:
+def q8b_sql(
+    *, low_bar: float = LOW_PRESSURE_BAR, moving_eps_kmh: float = Q8B_MOVING_EPS_KMH
+) -> str:
     """Q8b's per-event projection: the ``low_p`` flag."""
     return (
         f"SELECT *, (brake_bar < {lit(low_bar)}) AND (speed_kmh > {lit(moving_eps_kmh)}) "
@@ -385,8 +397,8 @@ def q8_low_pressure(
     events: DataFrame,
     *,
     low_bar: float = LOW_PRESSURE_BAR,
-    min_duration_s: float = 120.0,
-    moving_eps_kmh: float = 3.6,
+    min_duration_s: float = Q8B_MIN_DURATION_S,
+    moving_eps_kmh: float = Q8B_MOVING_EPS_KMH,
 ) -> DataFrame:
     """Q8b — persistent low brake pressure while moving.
 

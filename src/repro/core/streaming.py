@@ -106,8 +106,8 @@ class Q7StopDetector(ThresholdDetector):
         self,
         allowed_zones,
         *,
-        min_stop_s: float = 60.0,
-        speed_eps_ms: float = 0.5,
+        min_stop_s: float = Q.Q7_MIN_STOP_S,
+        speed_eps_ms: float = Q.Q7_SPEED_EPS_MS,
     ) -> None:
         self.shapes, _ = shapes_from_df(allowed_zones)
         super().__init__(
@@ -139,8 +139,9 @@ class Q8LowPressureDetector(ThresholdDetector):
     """Q8b (persistent low pressure while moving)."""
 
     def __init__(
-        self, *, low_bar: float = LOW_PRESSURE_BAR, min_duration_s: float = 120.0,
-        moving_eps_kmh: float = 3.6,
+        self, *, low_bar: float = LOW_PRESSURE_BAR,
+        min_duration_s: float = Q.Q8B_MIN_DURATION_S,
+        moving_eps_kmh: float = Q.Q8B_MOVING_EPS_KMH,
     ) -> None:
         super().__init__(
             "SELECT train_id, ts, brake_bar, low_p "

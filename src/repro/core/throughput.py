@@ -13,8 +13,8 @@ buffer model); events/s = events ÷ wall time over the processing loop
 (stream generation excluded), MB/s = events/s × the query's nominal
 event size (`sncb.events`). Absolute numbers will differ from the
 paper's Intel-Atom edge device — EXPERIMENTS.md compares *shape*:
-per-query ratios and ordering. ``edge_mode`` constrains execution to a
-single partition to approximate the single-board deployment.
+per-query ratios and ordering. Each micro-batch runs as one partition,
+like one NebulaStream tuple buffer through its fused pipeline.
 
 :func:`table1b` adds the push-down comparison (uplink bytes with the
 operators in the cloud vs on the trains).
@@ -23,11 +23,13 @@ from __future__ import annotations
 
 import re
 import time
+import uuid
 from collections.abc import Callable
 from dataclasses import dataclass
+from operator import methodcaller
 
 import pandas as pd
-from pyspark.sql import SparkSession
+from pyspark.sql import DataFrame, SparkSession
 
 from repro.core import queries as Q
 from repro.core.streaming import Q7StopDetector, Q8LowPressureDetector
@@ -74,73 +76,74 @@ def build_events(
 
 
 def make_processor(
-    spark: SparkSession,
-    qid: str,
-    *,
-    duration_s: float,
-    seed: int = 0,
-    edge_mode: bool = False,
+    spark: SparkSession, qid: str, *, duration_s: float, seed: int = 0
 ) -> Callable[[pd.DataFrame], int]:
     """A per-micro-batch processor for ``qid``: takes one pandas batch,
     runs the full query pipeline, returns the number of result rows.
 
-    The query is compiled here, once: its SQL statement, the UDFs it
-    calls and its static views (Q4's weather table). A call then runs
-    only ``createDataFrame`` → ``spark.sql(statement, ev=batch)`` → one
-    action. Q7 and Q8b run their stateful threshold operators
-    incrementally (driver-side state), fed by their compiled projection
-    — the same split the streaming wrappers use.
+    The query is compiled here, once: its SQL statement, bound to an
+    event view of this processor's own, the UDFs it calls and its static
+    views (Q4's weather table). A call replaces the event view with the
+    batch, as one partition, and runs the statement with one action. So
+    every aggregate, window and join finds its input distributed as it
+    needs: no exchange, one Spark job of one stage. Q7 and Q8b feed their
+    compiled projection to a stateful threshold operator on the driver,
+    as the streaming path does.
     """
-    def to_spark(pdf):
-        sdf = spark.createDataFrame(pdf)
-        return sdf.coalesce(1) if edge_mode else sdf
-
-    def count_rows(stmt: str) -> Callable[[pd.DataFrame], int]:
-        return lambda b: spark.sql(stmt, ev=to_spark(b)).count()
-
     zones = zones_df(Q.QUERY_ZONES[qid]) if qid in Q.QUERY_ZONES else None
+    action: Callable[[DataFrame], int] = methodcaller("count")
     if qid == "q1":
-        return count_rows(Q.q1_sql(zones))
-    if qid == "q2":
-        return count_rows(Q.q2_sql(zones))
-    if qid == "q3":
-        return count_rows(Q.q3_sql(zones))
-    if qid == "q4":
-        # The static view is bound once; only {ev} is bound per batch.
-        view = weather_view(spark, duration_s=duration_s, seed=seed)
-        return count_rows(Q.q4_sql().replace("{wx}", view))
-    if qid == "q5":
+        stmt = Q.q1_sql(zones)
+    elif qid == "q2":
+        stmt = Q.q2_sql(zones)
+    elif qid == "q3":
+        stmt = Q.q3_sql(zones)
+    elif qid == "q4":
+        stmt = Q.q4_sql().replace("{wx}", weather_view(spark, duration_s=duration_s, seed=seed))
+    elif qid == "q5":
         register_meos_udfs(spark)
-        return count_rows(Q.q5_sql(zones))
-    if qid == "q6":
-        return count_rows(Q.q6_sql())
-    if qid == "q7":
+        stmt = Q.q5_sql(zones)
+    elif qid == "q6":
+        stmt = Q.q6_sql()
+    elif qid == "q7":
         det = Q7StopDetector(zones)
-        return lambda b: len(det.process_spark_batch(to_spark(b)))
-    if qid == "q8":
+        stmt = det.stmt
+        action = lambda df: len(det.process_pandas_batch(df.toPandas()))  # noqa: E731
+    elif qid == "q8":
+        # One action: Q8b's flagged events, then one row per Q8a window
+        # (tagged ``q8a``, train id only); the driver splits on the tag.
         det = Q8LowPressureDetector()
-        q8a = Q.q8a_sql()
+        stmt = (
+            f"SELECT false AS q8a, * FROM ({det.stmt}) UNION ALL "
+            f"SELECT true, train_id, NULL, NULL, NULL FROM ({Q.q8a_sql()})"
+        )
 
-        def q8(b) -> int:
-            # Both statements read the batch; re-reading its Arrow data
-            # costs less than caching it.
-            sdf = to_spark(b)
-            return spark.sql(q8a, ev=sdf).count() + len(det.process_spark_batch(sdf))
+        def action(df: DataFrame) -> int:
+            pdf = df.toPandas()
+            q8a = pdf.pop("q8a").to_numpy(dtype=bool)
+            return int(q8a.sum()) + len(det.process_pandas_batch(pdf[~q8a]))
+    else:
+        raise ValueError(f"unknown query {qid!r}")
+    view = f"ev_{qid}_{uuid.uuid4().hex}"
+    stmt = stmt.replace("{ev}", view)
 
-        return q8
-    raise ValueError(f"unknown query {qid!r}")
+    def process(b: pd.DataFrame) -> int:
+        spark.createDataFrame(b).coalesce(1).createOrReplaceTempView(view)
+        return action(spark.sql(stmt))
+
+    return process
 
 
 def weather_view(spark: SparkSession, *, duration_s: float, seed: int) -> str:
-    """The temp view of Q4's weather table for a ``duration_s`` stream
-    and ``seed``. The first call caches and materialises the table;
-    later calls with the same arguments reuse it, so building processors
-    and jobs again does not pile up cached tables."""
+    """The temp view of Q4's weather table, one partition, for a
+    ``duration_s`` stream and ``seed``. The first call caches and
+    materialises it; later calls with the same arguments reuse it, so
+    rebuilt processors and jobs do not pile up cached tables."""
     view = re.sub(r"\W", "_", f"weather_{float(duration_s)}_{seed}")
     if not spark.catalog.tableExists(view):
         wx = spark.createDataFrame(
             weather_stream(t0=T0_EPOCH, duration_s=duration_s, seed=seed)
-        ).cache()
+        ).coalesce(1).cache()
         wx.count()  # materialise outside the timed loop
         wx.createOrReplaceTempView(view)
     return view
@@ -154,44 +157,29 @@ def measure_query(
     dt: float = 1.0,
     seed: int = 0,
     batch_rows: int = 20_000,
-    edge_mode: bool = False,
     warmup_batches: int = 1,
-    shuffle_partitions: int | None = 8,
 ) -> ThroughputResult:
     """Measure one Table 1 row.
 
     The event stream is pre-generated; the timed section is the
-    micro-batch processing loop only. ``shuffle_partitions`` is applied
-    for the measurement (micro-batches are small; the session default
-    of 64 partitions only measures scheduler overhead) and restored
-    afterwards; ``edge_mode`` forces single-partition execution.
+    micro-batch processing loop only.
     """
     if qid not in PAPER_TABLE1:
         raise ValueError(f"unknown query {qid!r}")
     pdf = build_events(qid, duration_s=duration_s, dt=dt, seed=seed)
-    build = dict(duration_s=duration_s, seed=seed, edge_mode=edge_mode)
+    build = dict(duration_s=duration_s, seed=seed)
     proc = make_processor(spark, qid, **build)
     # Q7 and Q8b keep driver-side state: they warm up on a processor of
     # their own, so no batch reaches the measured state twice.
     warm = make_processor(spark, qid, **build) if qid in ("q7", "q8") else proc
     batches = list(split_batches(pdf, batch_rows))
-
-    old_parts = spark.conf.get("spark.sql.shuffle.partitions")
-    if shuffle_partitions is not None:
-        spark.conf.set(
-            "spark.sql.shuffle.partitions",
-            "1" if edge_mode else str(shuffle_partitions),
-        )
-    try:
-        for b in batches[:warmup_batches]:
-            warm(b)
-        n_output = 0
-        t0 = time.perf_counter()
-        for b in batches:
-            n_output += proc(b)
-        elapsed = time.perf_counter() - t0
-    finally:
-        spark.conf.set("spark.sql.shuffle.partitions", old_parts)
+    for b in batches[:warmup_batches]:
+        warm(b)
+    n_output = 0
+    t0 = time.perf_counter()
+    for b in batches:
+        n_output += proc(b)
+    elapsed = time.perf_counter() - t0
 
     n_events = len(pdf)
     eps = n_events / elapsed if elapsed > 0 else float("inf")
@@ -218,7 +206,6 @@ def table1(
     dt: float = 1.0,
     seed: int = 0,
     batch_rows: int = 20_000,
-    edge_mode: bool = False,
 ) -> pd.DataFrame:
     """Measure all queries and assemble the Table 1 comparison frame:
     measured events/s and MB/s next to the paper's numbers, plus both
@@ -226,8 +213,7 @@ def table1(
     qids = qids or ALL_QUERIES
     rows = [
         measure_query(
-            spark, q, duration_s=duration_s, dt=dt, seed=seed,
-            batch_rows=batch_rows, edge_mode=edge_mode,
+            spark, q, duration_s=duration_s, dt=dt, seed=seed, batch_rows=batch_rows
         )
         for q in qids
     ]
@@ -263,8 +249,8 @@ def table1b(*, duration_s: float = 3600.0, dt: float = 0.5, seed: int = 0) -> pd
 
     Each query's edge-side selectivity is measured on its own stream,
     without Spark: Q1's alert filter with the MEOS zone kernel, Q7's
-    stop windows (≥ 60 s below 0.5 m/s, each shipped as a 64-byte
-    record) with the threshold operator.
+    stop windows (Q7's default stop, each shipped as a 64-byte record)
+    with the threshold operator.
     """
     gf = EVENT_BUILDERS["q1"](duration_s=duration_s, dt=dt, seed=seed)
     shapes, _ = shapes_from_df(zones_df(Q.QUERY_ZONES["q1"]))
@@ -272,8 +258,11 @@ def table1b(*, duration_s: float = 3600.0, dt: float = 0.5, seed: int = 0) -> pd
     keep = (gf["alert_kind"] != "").to_numpy() & (gf["alert_essential"].to_numpy() | ~in_mnt)
 
     st = EVENT_BUILDERS["q7"](duration_s=duration_s, dt=dt, seed=seed)
-    op = ThresholdWindowOperator(key_cols=["train_id"], flag_col="stopped", min_duration_s=60.0)
-    n_windows = len(op.process(st.assign(stopped=st["speed_ms"] < 0.5))) + len(op.flush())
+    op = ThresholdWindowOperator(
+        key_cols=["train_id"], flag_col="stopped", min_duration_s=Q.Q7_MIN_STOP_S
+    )
+    stopped = st["speed_ms"] < Q.Q7_SPEED_EPS_MS
+    n_windows = len(op.process(st.assign(stopped=stopped))) + len(op.flush())
 
     chains = {
         "q1": (len(gf), [Operator("q1_filter", selectivity=float(keep.mean()))]),

@@ -189,3 +189,20 @@ class TestQ4WeatherSpeedZones:
     def test_each_event_at_most_one_weather_row(self, geofence_sdf, weather_sdf):
         out = q4_weather_speed_zones(geofence_sdf, weather_sdf).toPandas()
         assert not out.duplicated(subset=["train_id", "ts"]).any()
+
+    def test_no_clear_rows_without_arrow(self, spark, geofence_pdf, weather_pdf, geofence_sdf,
+                                         weather_sdf):
+        """Without Arrow a clear-weather limit reaches Spark as NaN, not
+        NULL; Q4 still keeps only the adverse rows, the same as with Arrow."""
+        with_arrow = q4_weather_speed_zones(geofence_sdf, weather_sdf).count()
+        key = "spark.sql.execution.arrow.pyspark.enabled"
+        old = spark.conf.get(key)
+        spark.conf.set(key, "false")
+        try:
+            wx = spark.createDataFrame(weather_pdf)
+            out = q4_weather_speed_zones(spark.createDataFrame(geofence_pdf), wx).toPandas()
+        finally:
+            spark.conf.set(key, old)
+        assert wx.filter(F.isnan("suggested_limit_kmh")).count() > 0  # the NaN path is taken
+        assert "clear" not in set(out["condition"])
+        assert len(out) == with_arrow > 0

@@ -166,3 +166,21 @@ class TestDetectorsWithoutWindows:
         for c in ["train_id", "w_start", "w_end", "duration_s", "n_events",
                   "x_first", "y_first", "unscheduled"]:
             assert c in out.columns
+
+
+class TestDefaults:
+    def test_batch_query_and_detector_share_each_default(self):
+        import inspect
+
+        def default(fn, name):
+            return inspect.signature(fn).parameters[name].default
+
+        zones = zones_df(Q.QUERY_ZONES["q7"])
+        q7 = Q7StopDetector(zones)
+        assert q7.op.min_duration_s == default(Q.q7_unscheduled_stops, "min_stop_s")
+        assert Q.q7_sql(zones) in q7.stmt
+        assert default(Q.q7_unscheduled_stops, "speed_eps_ms") == default(Q.q7_sql, "speed_eps_ms")
+        q8 = Q8LowPressureDetector()
+        assert q8.op.min_duration_s == default(Q.q8_low_pressure, "min_duration_s")
+        assert Q.q8b_sql() in q8.stmt
+        assert default(Q.q8_low_pressure, "moving_eps_kmh") == default(Q.q8b_sql, "moving_eps_kmh")
