@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 import time
 import uuid
+import weakref
 from collections.abc import Callable
 from dataclasses import dataclass
 from operator import methodcaller
@@ -88,7 +89,8 @@ def make_processor(
     every aggregate, window and join finds its input distributed as it
     needs: no exchange, one Spark job of one stage. Q7 and Q8b feed their
     compiled projection to a stateful threshold operator on the driver,
-    as the streaming path does.
+    as the streaming path does. The event view (the last batch) goes with
+    the processor, but not at exit, when the session may be stopped.
     """
     zones = zones_df(Q.QUERY_ZONES[qid]) if qid in Q.QUERY_ZONES else None
     action: Callable[[DataFrame], int] = methodcaller("count")
@@ -131,6 +133,7 @@ def make_processor(
         spark.createDataFrame(b).coalesce(1).createOrReplaceTempView(view)
         return action(spark.sql(stmt))
 
+    weakref.finalize(process, spark.catalog.dropTempView, view).atexit = False
     return process
 
 

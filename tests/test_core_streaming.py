@@ -140,6 +140,35 @@ class TestQ8bForeachBatch:
         pd.testing.assert_frame_equal(_canon(streamed, cols), _canon(batch, cols))
 
 
+class TestQ8bSingleRowParts:
+    def test_matches_batch_threshold_query(self, spark, tmp_path):
+        """One event per part, so one per trigger: the driver-side state
+        sees the events in stream order only if the parts replay in the
+        order they were written."""
+        ts = np.arange(0.0, 300.0, 15.0)
+        frame = pd.DataFrame(
+            {
+                "train_id": np.repeat(np.array([1, 2], dtype=np.int32), len(ts)),
+                "ts": np.tile(ts, 2),
+                "speed_kmh": 50.0,
+                "brake_bar": np.concatenate(
+                    [
+                        np.where((ts >= 30) & (ts <= 180) | (ts >= 240), 4.0, 5.0),
+                        np.where((ts >= 60) & (ts <= 240), 4.0, 5.0),
+                    ]
+                ),
+            }
+        )
+        write_stream_files(frame, str(tmp_path), n_files=len(frame))
+        src = stream_from_files(spark, str(tmp_path), _spark_schema_of(spark, frame))
+        streamed = run_foreach_batch_stream(spark, src, Q8LowPressureDetector())
+
+        batch = Q.q8_low_pressure(spark.createDataFrame(frame)).toPandas()
+        assert len(batch) == 2
+        cols = ["train_id", "w_start", "w_end", "n_events"]
+        pd.testing.assert_frame_equal(_canon(streamed, cols), _canon(batch, cols))
+
+
 class TestDetectorsWithoutWindows:
     """A stream in which no window closes still yields the window
     columns, for an empty batch and for a batch without any run."""

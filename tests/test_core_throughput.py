@@ -1,4 +1,6 @@
 """Tests for repro.core.throughput — the Table 1 harness."""
+import gc
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -124,6 +126,18 @@ class TestWeatherView:
         before = views()
         make_processor(spark, "q4", duration_s=180.0)
         assert views() == before
+
+
+class TestProcessorView:
+    def test_released_processors_drop_their_event_views(self, spark):
+        batch = build_events("q7", duration_s=60.0).head(200)
+        before = spark.catalog.listTables()
+        for _ in range(3):
+            proc = make_processor(spark, "q7", duration_s=60.0)
+            proc(batch)
+            del proc
+        gc.collect()
+        assert spark.catalog.listTables() == before
 
 
 def _subclasses(cls):
