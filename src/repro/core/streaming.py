@@ -6,8 +6,8 @@ aggregations get an event-time watermark ahead of the window (Q2 and
 Q6 here). Threshold-window queries (Q7, Q8b) cannot use
 ``applyInPandas`` under Structured Streaming; they run through
 ``foreachBatch`` in a :class:`ThresholdDetector`, whose incremental
-:class:`~repro.nebula.windows.ThresholdWindowOperator` carries open runs
-across micro-batches — the stateful-operator pattern
+:class:`~repro.nebula.windows.ThresholdWindowOperator` carries a summary
+of each key's open run across micro-batches — the stateful-operator pattern
 an edge engine uses (and the reason NebulaMEOS had to extend the window
 framework rather than reuse stock operators).
 """

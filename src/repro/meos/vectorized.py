@@ -15,8 +15,6 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.meos.geometry import dist_point_point
-
 
 def in_any_zone(x: np.ndarray, y: np.ndarray, zones: Sequence) -> np.ndarray:
     """True where the point lies inside *any* of ``zones`` (shapes with a
@@ -80,24 +78,6 @@ def nearest_zone(
         best_d = np.where(better, d, best_d)
         best_id = np.where(better, zid, best_id)
     return best_id, best_d
-
-
-def nearest_point(
-    x: np.ndarray, y: np.ndarray, px: np.ndarray, py: np.ndarray, ids: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest of a small point set (px, py, ids) for each query point.
-
-    Brute force O(n·m) — m (workshops, stations) is tens, so this is the
-    right edge-device algorithm (no index build cost).
-    """
-    x = np.asarray(x, dtype=np.float64)[:, None]
-    y = np.asarray(y, dtype=np.float64)[:, None]
-    px = np.asarray(px, dtype=np.float64)[None, :]
-    py = np.asarray(py, dtype=np.float64)[None, :]
-    d = dist_point_point(x, y, px, py)
-    j = d.argmin(axis=1)
-    ids = np.asarray(ids, dtype=np.int64)
-    return ids[j], d[np.arange(d.shape[0]), j]
 
 
 def speed_kmh(t: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -28,6 +28,7 @@ import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
+from pyspark.sql.pandas.types import from_arrow_schema
 
 
 def split_batches(pdf: pd.DataFrame, batch_rows: int) -> Iterator[pd.DataFrame]:
@@ -44,7 +45,11 @@ def split_batches(pdf: pd.DataFrame, batch_rows: int) -> Iterator[pd.DataFrame]:
 # ---------------------------------------------------------------------
 
 def _spark_schema_of(spark: SparkSession, pdf: pd.DataFrame) -> T.StructType:
-    return spark.createDataFrame(pdf.head(2)).schema
+    """The whole frame's Spark schema, typed as ``createDataFrame`` types
+    it, from the frame's Arrow schema: an empty frame has one too, and a
+    column whose first values are null is typed by the rest."""
+    ntz = spark.conf.get("spark.sql.timestampType") == "TIMESTAMP_NTZ"
+    return from_arrow_schema(pa.Schema.from_pandas(pdf, preserve_index=False), ntz)
 
 
 def write_stream_files(

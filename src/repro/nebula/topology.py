@@ -4,8 +4,8 @@ NebulaStream "employs its coordinators and worker nodes to manage
 computations and allows execution directly on edge devices" (§2), and
 the paper's GCEP section stresses "pushing down computation to IoT
 devices". With no Raspberry Pi available, this module simulates that
-deployment dimension: a star topology (one edge worker per train under
-a cloud coordinator), operator placement strategies, and
+deployment dimension: two tiers (an edge worker on every train, one
+cloud coordinator), operator placement strategies, and
 transferred-byte accounting — making the push-down claim quantifiable
 (Table 1b: `repro.core.throughput.table1b`, `jobs/pushdown_report.py`).
 
@@ -16,18 +16,6 @@ uplink.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-
-@dataclass(frozen=True)
-class Node:
-    """A compute node: edge worker (on-train Intel Atom) or coordinator."""
-
-    name: str
-    kind: str  # "edge" | "coordinator"
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("edge", "coordinator"):
-            raise ValueError(f"unknown node kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -49,23 +37,6 @@ class Operator:
     def __post_init__(self) -> None:
         if not (0.0 <= self.selectivity <= 1.0):
             raise ValueError("selectivity must be in [0, 1]")
-
-
-@dataclass
-class Topology:
-    """Star topology: N edge workers, one coordinator."""
-
-    n_edges: int
-
-    def __post_init__(self) -> None:
-        if self.n_edges <= 0:
-            raise ValueError("need at least one edge node")
-        self.coordinator = Node("coordinator", "coordinator")
-        self.edges = [Node(f"edge-{i}", "edge") for i in range(self.n_edges)]
-
-    @property
-    def nodes(self) -> list[Node]:
-        return [*self.edges, self.coordinator]
 
 
 @dataclass

@@ -6,16 +6,18 @@ streams." Tumbling and sliding windows are Catalyst's own
 ``window(t, size[, slide])``, which the query statements of
 ``repro.core.queries`` call (``_window``) identically on batch and
 streaming DataFrames (streaming callers add a watermark). This module
-adds the third kind, which Spark lacks:
+adds the third kind, which Spark lacks: *predicate-bounded* windows. A
+window opens while a boolean column holds and closes when it drops,
+keeping only runs of at least ``min_duration_s`` (Q7 stop detection,
+Q8 persistent low pressure).
 
-* :func:`threshold_window` — *predicate-bounded* windows: a window
-  opens while a boolean column holds and closes when it drops, keeping
-  only runs of at least ``min_duration_s`` (Q7 stop detection, Q8
-  persistent low pressure). Implemented per key with ``applyInPandas``
-  over the full frame (batch form).
-* :class:`ThresholdWindowOperator` — the *incremental* form of the
-  same operator for micro-batch execution: carries open runs across
-  batch boundaries, exactly like a stateful stream operator.
+:class:`ThresholdWindowOperator` is the one implementation. Its state
+is one fixed-size summary per key of the key's open run (start and last
+timestamp, event count, first carried values, and the sum, min and max
+of each value column), never buffered events, so it merges a
+micro-batch in time independent of how long a run has been open.
+:func:`threshold_window`, the batch form, runs a fresh operator over
+each key's events with ``applyInPandas``.
 """
 from __future__ import annotations
 
@@ -28,40 +30,132 @@ from pyspark.sql import DataFrame
 from repro.meos.vectorized import run_lengths
 
 
-def _runs_to_windows(
-    pdf: pd.DataFrame,
-    *,
-    ts_col: str,
-    flag_col: str,
-    min_duration_s: float,
-    value_cols: Sequence[str],
-    carry_cols: Sequence[str],
-) -> pd.DataFrame:
-    """Closed threshold windows of one key's time-sorted events."""
-    pdf = pdf.sort_values(ts_col)
-    flag = pdf[flag_col].to_numpy(dtype=bool)
-    ts = pdf[ts_col].to_numpy(dtype=np.float64)
-    starts, ends, _ = run_lengths(flag)
-    rows = []
-    for s0, e0 in zip(starts, ends):
-        dur = float(ts[e0 - 1] - ts[s0])
-        if dur < min_duration_s:
-            continue
-        row = {
-            "w_start": float(ts[s0]),
-            "w_end": float(ts[e0 - 1]),
-            "duration_s": dur,
-            "n_events": int(e0 - s0),
+class ThresholdWindowOperator:
+    """Incremental threshold windows across micro-batches.
+
+    Keeps, per key, a summary of the *open* run (the True-run that the
+    last batch ended in) and merges the next batch into it, so windows
+    spanning batch boundaries are neither lost nor split. ``flush()``
+    closes every open run at end of stream.
+    """
+
+    def __init__(
+        self,
+        *,
+        key_cols: Sequence[str],
+        ts_col: str = "ts",
+        flag_col: str,
+        min_duration_s: float,
+        value_cols: Sequence[str] = (),
+        carry_cols: Sequence[str] = (),
+    ) -> None:
+        if min_duration_s < 0:
+            raise ValueError("negative min_duration_s")
+        self.key_cols = list(key_cols)
+        self.ts_col = ts_col
+        self.flag_col = flag_col
+        self.min_duration_s = min_duration_s
+        self.value_cols = list(value_cols)
+        self.carry_cols = list(carry_cols)
+        #: summary column → how a run reduces it: its first or last
+        #: element, or a ufunc over all of them.
+        self._reduce: dict[str, object] = dict.fromkeys(self.key_cols, "first")
+        self._reduce.update(w_start="first", w_end="last", n_events=np.add)
+        self._reduce.update((f"{c}_first", "first") for c in self.carry_cols)
+        for c in self.value_cols:
+            self._reduce.update(
+                {f"{c}_sum": np.add, f"{c}_min": np.minimum, f"{c}_max": np.maximum}
+            )
+        #: key → summary of its open run (one-element arrays per column).
+        self._open: dict[tuple, dict[str, np.ndarray]] = {}
+        #: dtypes of the key and carried columns, from the last batch.
+        self._dtypes: dict[str, object] = {}
+
+    def empty(self) -> pd.DataFrame:
+        """A frame with no windows but every window column, typed: what
+        ``process``/``flush`` return when no window closes."""
+        cols = {"w_start": "float64", "w_end": "float64", "duration_s": "float64",
+                "n_events": "int64"}
+        for c in self.carry_cols:
+            cols[f"{c}_first"] = self._dtypes.get(c, object)
+        for c in self.value_cols:
+            cols.update({f"{c}_{s}": "float64" for s in ("mean", "min", "max")})
+        for k in self.key_cols:
+            cols[k] = self._dtypes.get(k, object)
+        return pd.DataFrame({c: pd.Series(dtype=t) for c, t in cols.items()})
+
+    def _events(self, rows: pd.DataFrame) -> dict[str, np.ndarray]:
+        """One key's time-sorted rows, each summarised as a run of one."""
+        ts = rows[self.ts_col].to_numpy(dtype=np.float64)
+        cols = {k: rows[k].to_numpy() for k in self.key_cols}
+        cols.update(w_start=ts, w_end=ts, n_events=np.ones(len(ts), dtype=np.int64))
+        cols.update((f"{c}_first", rows[c].to_numpy()) for c in self.carry_cols)
+        for c in self.value_cols:
+            v = rows[c].to_numpy(dtype=np.float64)
+            cols.update({f"{c}_sum": v, f"{c}_min": v, f"{c}_max": v})
+        return cols
+
+    def _runs(self, cols: dict[str, np.ndarray], flag: np.ndarray) -> dict[str, np.ndarray]:
+        """One summary per True-run of ``flag``. Each ufunc reduces every
+        run at once, ``reduceat`` over the interleaved [start, end) bounds
+        (the even slots are the runs; the input gets one pad element so
+        that an end at its length is a valid index)."""
+        starts, ends, _ = run_lengths(flag)
+        pick = {"first": starts, "last": ends - 1}
+        bounds = np.column_stack((starts, ends)).ravel()
+        return {
+            c: cols[c][pick[how]] if how in pick
+            else how.reduceat(np.append(cols[c], cols[c][:1]), bounds)[::2]
+            for c, how in self._reduce.items()
         }
-        for c in carry_cols:
-            row[f"{c}_first"] = pdf[c].iloc[s0]
-        for c in value_cols:
-            v = pdf[c].to_numpy(dtype=np.float64)[s0:e0]
-            row[f"{c}_mean"] = float(v.mean())
-            row[f"{c}_min"] = float(v.min())
-            row[f"{c}_max"] = float(v.max())
-        rows.append(row)
-    return pd.DataFrame(rows)
+
+    def _windows(self, runs: list[dict[str, np.ndarray]]) -> pd.DataFrame:
+        """The closed runs lasting at least ``min_duration_s``, as windows."""
+        if not runs:
+            return self.empty()
+        s = {c: np.concatenate([r[c] for r in runs]) for c in self._reduce}
+        duration = s["w_end"] - s["w_start"]
+        keep = duration >= self.min_duration_s
+        if not keep.any():
+            return self.empty()
+        out = {"w_start": s["w_start"], "w_end": s["w_end"], "duration_s": duration,
+               "n_events": s["n_events"]}
+        out.update((f"{c}_first", s[f"{c}_first"]) for c in self.carry_cols)
+        for c in self.value_cols:
+            out.update({f"{c}_mean": s[f"{c}_sum"] / s["n_events"],
+                        f"{c}_min": s[f"{c}_min"], f"{c}_max": s[f"{c}_max"]})
+        out.update((k, s[k]) for k in self.key_cols)
+        return pd.DataFrame({c: a[keep] for c, a in out.items()})
+
+    def process(self, batch: pd.DataFrame) -> pd.DataFrame:
+        """Feed one micro-batch; returns windows closed by this batch."""
+        self._dtypes.update(
+            (c, batch[c].dtype) for c in (*self.key_cols, *self.carry_cols) if c in batch
+        )
+        closed = []
+        for key, g in batch.groupby(self.key_cols, sort=False):
+            key = key if isinstance(key, tuple) else (key,)
+            g = g.sort_values(self.ts_col)
+            flag = g[self.flag_col].to_numpy(dtype=bool)
+            cols = self._events(g)
+            prev = self._open.pop(key, None)
+            if prev is not None:
+                # The open run leads as one more True event: a leading
+                # True-run extends it, a leading False closes it.
+                flag = np.concatenate(([True], flag))
+                cols = {c: np.concatenate((prev[c], a)) for c, a in cols.items()}
+            runs = self._runs(cols, flag)
+            if flag[-1]:
+                self._open[key] = {c: a[-1:] for c, a in runs.items()}
+                runs = {c: a[:-1] for c, a in runs.items()}
+            closed.append(runs)
+        return self._windows(closed)
+
+    def flush(self) -> pd.DataFrame:
+        """Close all open runs (end of stream)."""
+        runs = list(self._open.values())
+        self._open.clear()
+        return self._windows(runs)
 
 
 def _window_schema(
@@ -92,118 +186,18 @@ def threshold_window(
     """Batch threshold windows: per key, contiguous True-runs of
     ``flag_col`` lasting ≥ ``min_duration_s``, with run bounds, event
     count, first values of ``carry_cols`` and mean/min/max of
-    ``value_cols``."""
-    if min_duration_s < 0:
-        raise ValueError("negative min_duration_s")
-    key_cols = list(key_cols)
-    value_cols = list(value_cols)
-    carry_cols = list(carry_cols)
+    ``value_cols``. Each key's events go through a fresh
+    :class:`ThresholdWindowOperator` (``process`` then ``flush``)."""
+    spec = dict(
+        key_cols=list(key_cols), ts_col=ts_col, flag_col=flag_col,
+        min_duration_s=min_duration_s, value_cols=list(value_cols),
+        carry_cols=list(carry_cols),
+    )
+    ThresholdWindowOperator(**spec)  # validates the arguments here, not in a task
+
+    def fn(pdf: pd.DataFrame) -> pd.DataFrame:
+        op = ThresholdWindowOperator(**spec)
+        return pd.concat([op.process(pdf), op.flush()], ignore_index=True)
+
     schema = _window_schema(df, key_cols, value_cols, carry_cols)
-
-    def fn(key, pdf):
-        out = _runs_to_windows(
-            pdf, ts_col=ts_col, flag_col=flag_col,
-            min_duration_s=min_duration_s,
-            value_cols=value_cols, carry_cols=carry_cols,
-        )
-        if out.empty:
-            # Preserve schema for empty groups.
-            return pd.DataFrame(columns=[f.split(" ")[0] for f in schema.split(", ")])
-        for k, v in zip(key_cols, key):
-            out[k] = v
-        return out[[f.split(" ")[0] for f in schema.split(", ")]]
-
-    return df.groupBy(*key_cols).applyInPandas(fn, schema)
-
-
-class ThresholdWindowOperator:
-    """Incremental threshold windows across micro-batches.
-
-    Keeps, per key, the *open* run (events since the last False flag)
-    and prepends it to the next batch — the stateful-operator behaviour
-    a stream engine needs so windows spanning batch boundaries are not
-    lost or split. ``flush()`` closes any still-open runs at end of
-    stream.
-    """
-
-    def __init__(
-        self,
-        *,
-        key_cols: Sequence[str],
-        ts_col: str = "ts",
-        flag_col: str,
-        min_duration_s: float,
-        value_cols: Sequence[str] = (),
-        carry_cols: Sequence[str] = (),
-    ) -> None:
-        self.key_cols = list(key_cols)
-        self.ts_col = ts_col
-        self.flag_col = flag_col
-        self.min_duration_s = min_duration_s
-        self.value_cols = list(value_cols)
-        self.carry_cols = list(carry_cols)
-        self._pending: dict[tuple, pd.DataFrame] = {}
-        #: dtypes of the key and carried columns, from the last batch.
-        self._dtypes: dict[str, object] = {}
-
-    def empty(self) -> pd.DataFrame:
-        """A frame with no windows but every window column, typed: what
-        ``process``/``flush`` return when no window closes."""
-        cols = {"w_start": "float64", "w_end": "float64", "duration_s": "float64",
-                "n_events": "int64"}
-        for c in self.carry_cols:
-            cols[f"{c}_first"] = self._dtypes.get(c, object)
-        for c in self.value_cols:
-            cols.update({f"{c}_{s}": "float64" for s in ("mean", "min", "max")})
-        for k in self.key_cols:
-            cols[k] = self._dtypes.get(k, object)
-        return pd.DataFrame({c: pd.Series(dtype=t) for c, t in cols.items()})
-
-    def _close(self, pdf: pd.DataFrame, *, final: bool) -> tuple[pd.DataFrame, pd.DataFrame]:
-        """(closed windows, open-run tail) of one key's sorted events."""
-        flag = pdf[self.flag_col].to_numpy(dtype=bool)
-        tail = pdf.iloc[0:0]
-        if not final and flag.size and flag[-1]:
-            starts, ends, _ = run_lengths(flag)
-            s_last = starts[-1]
-            tail = pdf.iloc[s_last:]
-            pdf = pdf.iloc[:s_last]
-        wins = _runs_to_windows(
-            pdf, ts_col=self.ts_col, flag_col=self.flag_col,
-            min_duration_s=self.min_duration_s,
-            value_cols=self.value_cols, carry_cols=self.carry_cols,
-        )
-        return wins, tail
-
-    def process(self, batch: pd.DataFrame) -> pd.DataFrame:
-        """Feed one micro-batch; returns windows closed by this batch."""
-        self._dtypes.update(
-            (c, batch[c].dtype) for c in (*self.key_cols, *self.carry_cols) if c in batch
-        )
-        out = []
-        for key, g in batch.groupby(self.key_cols, sort=False):
-            key = key if isinstance(key, tuple) else (key,)
-            g = g.sort_values(self.ts_col)
-            prev = self._pending.pop(key, None)
-            if prev is not None and len(prev):
-                g = pd.concat([prev, g], ignore_index=True)
-            wins, tail = self._close(g, final=False)
-            if len(tail):
-                self._pending[key] = tail
-            if len(wins):
-                for k, v in zip(self.key_cols, key):
-                    wins[k] = v
-                out.append(wins)
-        return pd.concat(out, ignore_index=True) if out else self.empty()
-
-    def flush(self) -> pd.DataFrame:
-        """Close all open runs (end of stream)."""
-        out = []
-        for key, g in self._pending.items():
-            wins, _ = self._close(g, final=True)
-            if len(wins):
-                for k, v in zip(self.key_cols, key):
-                    wins[k] = v
-                out.append(wins)
-        self._pending.clear()
-        return pd.concat(out, ignore_index=True) if out else self.empty()
+    return df.groupBy(*spec["key_cols"]).applyInPandas(fn, schema)

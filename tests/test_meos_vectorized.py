@@ -7,7 +7,6 @@ from repro.meos.vectorized import (
     ewithin_any,
     in_any_zone,
     min_zone_distance,
-    nearest_point,
     nearest_zone,
     run_lengths,
     speed_kmh,
@@ -82,27 +81,6 @@ class TestNearestZone:
     def test_inside_distance_zero(self):
         zid, d = nearest_zone(np.array([5.0]), np.array([5.0]), ZONES, IDS)
         assert zid[0] == 1 and d[0] == 0.0
-
-
-class TestNearestPoint:
-    PX = np.array([0.0, 100.0, 200.0])
-    PY = np.array([0.0, 0.0, 0.0])
-    IDS = [7, 8, 9]
-
-    def test_basic(self):
-        ids, d = nearest_point(np.array([90.0]), np.array([0.0]), self.PX, self.PY, self.IDS)
-        assert ids[0] == 8 and d[0] == pytest.approx(10.0)
-
-    def test_vectorised_rows(self):
-        ids, d = nearest_point(
-            np.array([1.0, 199.0]), np.array([0.0, 0.0]), self.PX, self.PY, self.IDS
-        )
-        np.testing.assert_array_equal(ids, [7, 9])
-        np.testing.assert_allclose(d, [1.0, 1.0])
-
-    def test_tie_takes_first(self):
-        ids, _ = nearest_point(np.array([50.0]), np.array([0.0]), self.PX, self.PY, self.IDS)
-        assert ids[0] == 7
 
 
 class TestSpeedKmh:

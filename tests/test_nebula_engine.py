@@ -7,6 +7,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.nebula.engine import (
+    _spark_schema_of,
     run_streaming_to_memory,
     split_batches,
     stream_events_end_to_end,
@@ -149,6 +150,22 @@ class TestSpill:
         got = run_streaming_to_memory(stream_from_files(spark, str(tmp_path), schema))
         assert got.empty
         assert list(got.columns) == list(pdf.columns)
+
+    def test_empty_frame_end_to_end(self, spark):
+        """The stream's schema comes from the frame itself, so an empty
+        frame streams no row (inferring it from rows cannot)."""
+        got = stream_events_end_to_end(spark, identity, edge_pdf().iloc[:0])
+        assert got.empty
+        assert list(got.columns) == [*edge_pdf().columns, "t"]
+
+    def test_schema_from_whole_frame(self, spark):
+        """A string column whose first values are null is still a string
+        column, as ``createDataFrame`` types it."""
+        pdf = edge_pdf().assign(s=[None, None, None, "d", None, "", "é", "h"])
+        assert _spark_schema_of(spark, pdf) == spark.createDataFrame(pdf).schema
+        got = stream_events_end_to_end(spark, identity, pdf, n_files=4)
+        got = got.drop(columns="t").sort_values("ts").reset_index(drop=True)
+        pd.testing.assert_frame_equal(got, pdf)
 
     def test_more_files_than_rows(self, spark, tmp_path):
         """One row per part; the third part's only string is null."""

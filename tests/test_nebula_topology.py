@@ -2,10 +2,8 @@
 import pytest
 
 from repro.nebula.topology import (
-    Node,
     Operator,
     Placement,
-    Topology,
     place,
     transfer_bytes,
 )
@@ -19,23 +17,9 @@ CHAIN = [
 
 
 class TestModel:
-    def test_node_kind_validated(self):
-        with pytest.raises(ValueError):
-            Node("x", "fog")
-
     def test_operator_selectivity_validated(self):
         with pytest.raises(ValueError):
             Operator("f", selectivity=1.5)
-
-    def test_topology_star(self):
-        t = Topology(6)
-        assert len(t.edges) == 6
-        assert t.coordinator.kind == "coordinator"
-        assert len(t.nodes) == 7
-
-    def test_topology_needs_edges(self):
-        with pytest.raises(ValueError):
-            Topology(0)
 
 
 class TestPlacement:

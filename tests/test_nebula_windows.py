@@ -1,8 +1,13 @@
 """Tests for repro.nebula.windows — threshold windows (batch and
 incremental)."""
+import pickle
+
+import duckdb
 import numpy as np
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.nebula.windows import ThresholdWindowOperator, threshold_window
 from repro.oracle import assert_equivalent
@@ -165,3 +170,111 @@ class TestThresholdWindowOperator:
         assert len(got) == 0
         assert {"train", "w_start", "w_end", "duration_s", "n_events",
                 "x_first", "speed_mean", "speed_min", "speed_max"} <= set(got.columns)
+
+
+@st.composite
+def split_streams(draw):
+    """A two-key event stream in time order, its flag drawn as runs (so
+    runs cross batch cuts), and cuts into batches: a repeated cut is an
+    empty batch, adjacent cuts a single-row one."""
+    runs = draw(st.lists(st.tuples(st.booleans(), st.integers(1, 9)), max_size=10))
+    stopped = [flag for flag, n in runs for _ in range(n)]
+    n = len(stopped)
+    pdf = pd.DataFrame({
+        "train": draw(st.lists(st.sampled_from([1, 2]), min_size=n, max_size=n)),
+        "ts": np.arange(n, dtype=np.float64),
+        "stopped": np.array(stopped, dtype=bool),
+        "x": draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)),
+        "v": draw(st.lists(st.floats(-100, 100), min_size=n, max_size=n)),
+    }).astype({"train": "int64", "x": "float64", "v": "float64"})
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=12)))
+    min_duration_s = draw(st.sampled_from([0.0, 2.0, 6.0]))
+    return pdf, [0, *cuts, n], min_duration_s
+
+
+WINDOW_COLS = ["train", "w_start", "w_end", "n_events", "x_first",
+               "v_mean", "v_min", "v_max"]
+
+
+def gaps_and_islands(pdf, min_duration_s):
+    """DuckDB's threshold windows over the whole stream."""
+    con = duckdb.connect()
+    try:
+        con.register("ev", pdf)
+        return con.execute(f"""
+            WITH f AS (
+              SELECT *, row_number() OVER (PARTITION BY train ORDER BY ts)
+                      - row_number() OVER (PARTITION BY train, stopped ORDER BY ts) AS grp
+              FROM ev
+            )
+            SELECT train, min(ts) AS w_start, max(ts) AS w_end, count(*) AS n_events,
+                   arg_min(x, ts) AS x_first, avg(v) AS v_mean, min(v) AS v_min,
+                   max(v) AS v_max
+            FROM f WHERE stopped GROUP BY train, grp
+            HAVING max(ts) - min(ts) >= {min_duration_s}
+        """).fetchdf()
+    finally:
+        con.close()
+
+
+def split_windows(pdf, cuts, min_duration_s):
+    """The operator's windows over the stream cut into batches."""
+    op = ThresholdWindowOperator(
+        key_cols=["train"], flag_col="stopped", min_duration_s=min_duration_s,
+        value_cols=["v"], carry_cols=["x"],
+    )
+    parts = [op.process(pdf.iloc[a:b]) for a, b in zip(cuts, cuts[1:])]
+    return pd.concat([*parts, op.flush()], ignore_index=True)
+
+
+def assert_same_windows(got, expected):
+    """Equal windows; a mean may differ by summation order, which for at
+    most 90 float64 values of magnitude ≤ 100 is below 90 · 100 · 2⁻⁵²."""
+    def canon(df):
+        df = df[WINDOW_COLS].astype({"train": "int64", "n_events": "int64"})
+        return df.sort_values(["train", "w_start"]).reset_index(drop=True)
+
+    pd.testing.assert_frame_equal(canon(got), canon(expected), check_dtype=False,
+                                  rtol=0, atol=1e-10)
+
+
+class TestAnySplit:
+    @given(split_streams())
+    @settings(max_examples=200, deadline=None)
+    def test_operator_matches_oracle(self, case):
+        pdf, cuts, min_duration_s = case
+        assert_same_windows(split_windows(pdf, cuts, min_duration_s),
+                            gaps_and_islands(pdf, min_duration_s))
+
+    @given(split_streams())
+    @settings(max_examples=8, deadline=None)
+    def test_batch_form_matches_operator_and_oracle(self, spark, case):
+        pdf, cuts, min_duration_s = case
+        df = spark.createDataFrame(
+            pdf, "train long, ts double, stopped boolean, x double, v double"
+        )
+        batch = threshold_window(
+            df, key_cols=["train"], flag_col="stopped", min_duration_s=min_duration_s,
+            value_cols=["v"], carry_cols=["x"],
+        ).toPandas()
+        assert_same_windows(batch, gaps_and_islands(pdf, min_duration_s))
+        assert_same_windows(split_windows(pdf, cuts, min_duration_s), batch)
+
+
+class TestOpenRunState:
+    def test_state_size_constant_while_a_run_stays_open(self):
+        """A train stopped for an hour at 0.5 s (7 200 events over 100
+        batches): the operator keeps a summary of the run, not its rows."""
+        op = ThresholdWindowOperator(
+            key_cols=["train"], flag_col="stopped", min_duration_s=60.0,
+            value_cols=["speed"], carry_cols=["x"],
+        )
+        run = pd.DataFrame({"train": 1, "ts": np.arange(7200) * 0.5, "speed": 0.0,
+                            "x": 3.0, "stopped": True})
+        sizes = []
+        for batch in (run.iloc[i : i + 72] for i in range(0, 7200, 72)):
+            assert len(op.process(batch)) == 0
+            sizes.append(len(pickle.dumps(op)))
+        assert max(sizes) == sizes[0]
+        (win,) = op.flush().itertuples()
+        assert (win.w_start, win.w_end, win.n_events, win.x_first) == (0.0, 3599.5, 7200, 3.0)
